@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .liealg import LieAlgebra, Vector, as_vector, basis_vector, bracket, nilpotency_index
+from .liealg import LieAlgebra, Vector, _bracket, as_vector, basis_vector, nilpotency_index
 from .pbw import star_pbw
 from .sym import SymElement, exp_truncated, sym_mul
 from .zpoly import PolyZ
@@ -190,37 +190,61 @@ def dynkin_bracket(L: LieAlgebra, word: str, xi: Sequence, eta: Sequence) -> Vec
     eta = as_vector(L, eta)
     val = xi if word[0] == "X" else eta
     for ch in word[1:]:
-        val = bracket(L, val, xi if ch == "X" else eta)
+        val = _bracket(L, val, xi if ch == "X" else eta)
     return val
 
 
-_BCH_AB_CACHE: dict = {}
+def _bch_components(
+    L: LieAlgebra, k: int, l: int, xi: Vector, eta: Vector
+) -> dict[tuple[int, int], Vector]:
+    """Every nonzero BCH_{a,b}(xi, eta) with a <= k and b <= l, keyed (a, b).
+
+    One depth-first walk over the words with at most k X's and at most l Y's:
+    a word's left-nested bracket is its prefix's bracket with one more letter,
+    so each word costs one bracket, and a prefix whose bracket vanishes prunes
+    every word that extends it (all words past XX or YY, and all words longer
+    than the nilpotency index of a nilpotent algebra).  Inputs are trusted.
+    """
+    goldberg = _series_for(max(k + l, 1)).terms
+    sums: dict[tuple[int, int], list[Fraction]] = {}
+
+    def walk(word: str, a: int, b: int, val: Vector) -> None:
+        g = goldberg.get(word)
+        if g:
+            total = sums.setdefault((a, b), [Fraction(0)] * L.dim)
+            scale = g / (a + b)
+            for i, c in enumerate(val):
+                if c:
+                    total[i] += scale * c
+        if a < k:
+            nxt = _bracket(L, val, xi)
+            if any(nxt):
+                walk(word + "X", a + 1, b, nxt)
+        if b < l:
+            nxt = _bracket(L, val, eta)
+            if any(nxt):
+                walk(word + "Y", a, b + 1, nxt)
+
+    if k and any(xi):
+        walk("X", 1, 0, xi)
+    if l and any(eta):
+        walk("Y", 0, 1, eta)
+    return {ab: tuple(total) for ab, total in sums.items() if any(total)}
 
 
 def bch_ab(L: LieAlgebra, a: int, b: int, xi: Sequence, eta: Sequence) -> Vector:
-    """The (a, b) bidegree component of the BCH series of (xi, eta)."""
+    """The (a, b) bidegree component of the BCH series of (xi, eta).
+
+    The (a, b) entry of one prefix walk over the words (``_bch_components``):
+    each left-nested prefix is bracketed once, and a prefix whose bracket is
+    zero prunes its subtree.
+    """
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError("need a, b >= 0 with a + b >= 1")
-    n = a + b
-    if n > MAX_TRUNCATION:
-        raise ValueError(f"bidegree beyond the supported truncation {MAX_TRUNCATION}")
     xi = as_vector(L, xi)
     eta = as_vector(L, eta)
-    key = (L, a, b, xi, eta)
-    cached = _BCH_AB_CACHE.get(key)
-    if cached is not None:
-        return cached
-    series = _series_for(n)
-    total = [Fraction(0)] * L.dim
-    for w, g in series.bidegree_slice(a, b).items():
-        val = dynkin_bracket(L, w, xi, eta)
-        if any(val):
-            scale = g / n
-            for k, c in enumerate(val):
-                total[k] += scale * c
-    result = tuple(total)
-    _BCH_AB_CACHE[key] = result
-    return result
+    zero = (Fraction(0),) * L.dim
+    return _bch_components(L, a, b, xi, eta).get((a, b), zero)
 
 
 def bch_tilde(
@@ -258,7 +282,7 @@ def bch_tilde(
                         iy += 1
                 val = letters[0]
                 for v in letters[1:]:
-                    val = bracket(L, val, v)
+                    val = _bracket(L, val, v)
                 if any(val):
                     for k, c in enumerate(val):
                         total[k] += scale * c
@@ -320,41 +344,55 @@ def star_linear(x: SymElement, eta: Sequence) -> SymElement:
           = sum_j (B*_j z^j / j!) sum_tails  N(t) xi^(alpha - t) ad_t(eta),
 
     where t runs over ordered j-tuples drawn without replacement from the
-    multiset and N(t) is the falling-count multiplicity.  Extends Q[z]-
-    linearly over the coefficients of x; equals star_pbw(x, eta).
+    multiset and N(t) is the falling-count multiplicity.  The tails are
+    walked depth first, each ad_t(eta) one bracket from its parent's, and a
+    zero bracket prunes every longer tail through it; each contribution is
+    added straight into one coefficient map.  Extends Q[z]-linearly over the
+    coefficients of x; equals star_pbw(x, eta).
     """
     L = x.algebra
     eta = as_vector(L, eta)
-    k_max = x.max_degree
-    bern = bernoulli_star(max(k_max, 0))
-    out = SymElement.zero(L)
+    bern = bernoulli_star(max(x.max_degree, 0))
     basis = [basis_vector(L, i) for i in range(L.dim)]
+    out: dict[tuple[int, ...], dict[int, Fraction]] = {}
 
     for alpha, coeff in x.items():
-        contributions: list[tuple[tuple[int, ...], int, Vector, Fraction]] = []
+        coeff_terms = list(coeff.items())
 
-        def walk(counts: list[int], depth: int, val: Vector, mult: Fraction):
-            contributions.append((tuple(counts), depth, val, mult))
-            if not any(val):
-                return
+        def walk(counts: list[int], j: int, val: Vector, mult: int):
+            if bern[j]:
+                scale = bern[j] * mult / math.factorial(j)
+                for i, v in enumerate(val):
+                    if v:
+                        counts[i] += 1
+                        poly = out.setdefault(tuple(counts), {})
+                        counts[i] -= 1
+                        for e, c in coeff_terms:
+                            poly[e + j] = poly.get(e + j, 0) + c * scale * v
             for i in range(L.dim):
                 if counts[i]:
-                    nxt = bracket(L, basis[i], val)
-                    counts[i] -= 1
-                    walk(counts, depth + 1, nxt, mult * (counts[i] + 1))
-                    counts[i] += 1
+                    nxt = _bracket(L, basis[i], val)
+                    if any(nxt):
+                        counts[i] -= 1
+                        walk(counts, j + 1, nxt, mult * (counts[i] + 1))
+                        counts[i] += 1
 
-        walk(list(alpha), 0, eta, Fraction(1))
-        for remaining, j, val, mult in contributions:
-            if bern[j] == 0 or not any(val):
-                continue
-            scale = coeff * PolyZ.z(power=j, coeff=bern[j] * mult / math.factorial(j))
-            term = sym_mul(
-                SymElement.monomial(L, remaining),
-                SymElement.from_vector(L, val),
-            )
-            out = out + term.scale(scale)
-    return out
+        if any(eta):
+            walk(list(alpha), 0, eta, 1)
+    return _sym_from_coefficients(L, out)
+
+
+def _sym_from_coefficients(
+    L: LieAlgebra, coefficients: dict[tuple[int, ...], dict[int, Fraction]]
+) -> SymElement:
+    """The element with these {multi-index: {z-exponent: coefficient}} maps,
+    zeros dropped; the maps hold Fractions and well-formed keys already."""
+    terms = {}
+    for alpha, poly in coefficients.items():
+        poly = {e: c for e, c in poly.items() if c}
+        if poly:
+            terms[alpha] = PolyZ._raw(poly)
+    return SymElement(L, terms)
 
 
 def nfold_star(L: LieAlgebra, vectors: Sequence[Sequence]) -> SymElement:
@@ -379,65 +417,11 @@ def cn_monomial(
 
     With r = k + l - n this is (k! l! / r!) times the sum over ordered tuples
     of bidegrees (a_i, b_i), a_i + b_i >= 1, summing to (k, l), of the
-    Sym-product of the BCH_{a_i,b_i} vectors; commutativity lets us group the
-    tuples into multisets, so the implementation sums
-
-        k! l! * prod_pairs V_{a,b}^{m_ab} / m_ab!
-
-    over multiplicity assignments.  Zero BCH components prune the whole branch.
+    Sym-product of the BCH_{a_i,b_i} vectors: the z^n part of ``star_bch``.
     """
-    xi = as_vector(L, xi)
-    eta = as_vector(L, eta)
     if k < 0 or l < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
-    if n == 0:
-        return sym_mul(
-            SymElement.from_vector(L, xi) ** k, SymElement.from_vector(L, eta) ** l
-        )
-    if n >= k + l:
-        return SymElement.zero(L)
-
-    r = k + l - n
-    pairs = []
-    for a in range(k + 1):
-        for b in range(l + 1):
-            if 1 <= a + b <= k + l:
-                vec = bch_ab(L, a, b, xi, eta)
-                if any(vec):
-                    pairs.append((a, b, SymElement.from_vector(L, vec)))
-
-    total = SymElement.zero(L)
-
-    def backtrack(idx: int, slots: int, a_left: int, b_left: int, partial: SymElement):
-        nonlocal total
-        if slots == 0:
-            if a_left == 0 and b_left == 0:
-                total = total + partial
-            return
-        if idx == len(pairs):
-            return
-        a, b, vec = pairs[idx]
-        m_max = slots
-        if a:
-            m_max = min(m_max, a_left // a)
-        if b:
-            m_max = min(m_max, b_left // b)
-        power = partial
-        fact = 1
-        for m in range(0, m_max + 1):
-            if m:
-                fact *= m
-                power = sym_mul(power, vec)
-            backtrack(
-                idx + 1,
-                slots - m,
-                a_left - m * a,
-                b_left - m * b,
-                power.scale(Fraction(1, fact)) if m else power,
-            )
-
-    backtrack(0, r, k, l, SymElement.unit(L))
-    return total.scale(Fraction(math.factorial(k) * math.factorial(l)))
+    return star_bch(L, xi, k, eta, l).z_coefficient(n)
 
 
 def cn_polarized(
@@ -518,50 +502,60 @@ def cn_general(x: SymElement, y: SymElement, n: int) -> SymElement:
 def star_bch(L: LieAlgebra, xi: Sequence, k: int, eta: Sequence, l: int) -> SymElement:
     """xi^k * eta^l assembled as sum_n z^n C_n from the composition formula.
 
-    One backtracking pass over the multiplicity assignments covers every n at
-    once: a multiset using r slots lands in the z^(k+l-r) coefficient."""
+    One prefix walk over the words (``_bch_components``) gives every nonzero
+    V_{a,b} = BCH_{a,b}(xi, eta) with a <= k and b <= l, bracketing each
+    left-nested prefix once and pruning at zero brackets.  One backtracking
+    pass over the multiplicities m_{a,b} with sum m_{a,b} (a, b) = (k, l) then
+    covers every n at once: k! l! prod V_{a,b}^{m_{a,b}} / m_{a,b}! lands in
+    the z^(k+l-r) coefficient, r = sum m_{a,b}.  The vectors are z-constant,
+    so partial products are {multi-index: Fraction} maps and the factorial
+    weight rides along as one scalar."""
     xi = as_vector(L, xi)
     eta = as_vector(L, eta)
     if k + l == 0:
         return SymElement.unit(L)
-    pairs = []
-    for a in range(k + 1):
-        for b in range(l + 1):
-            if a + b >= 1:
-                vec = bch_ab(L, a, b, xi, eta)
-                if any(vec):
-                    pairs.append((a, b, SymElement.from_vector(L, vec)))
-    scale = Fraction(math.factorial(k) * math.factorial(l))
-    out = SymElement.zero(L)
+    pairs = [
+        (a, b, [(i, c) for i, c in enumerate(vec) if c])
+        for (a, b), vec in sorted(_bch_components(L, k, l, xi, eta).items())
+    ]
+    out: dict[tuple[int, ...], dict[int, Fraction]] = {}
 
-    def backtrack(idx: int, a_left: int, b_left: int, used: int, partial: SymElement):
-        nonlocal out
+    def backtrack(
+        idx: int, a_left: int, b_left: int, used: int, partial: dict, weight: Fraction
+    ):
         if a_left == 0 and b_left == 0:
-            out = out + partial.scale(PolyZ.z(power=k + l - used, coeff=scale))
+            e = k + l - used
+            for alpha, c in partial.items():
+                poly = out.setdefault(alpha, {})
+                poly[e] = poly.get(e, 0) + c * weight
             return
         if idx == len(pairs):
             return
         a, b, vec = pairs[idx]
-        m_max = a_left // a if a else None
-        if b:
-            cap = b_left // b
-            m_max = cap if m_max is None else min(m_max, cap)
-        power = partial
-        fact = 1
-        for m in range(0, m_max + 1):
+        m_max = min(left // d for left, d in ((a_left, a), (b_left, b)) if d)
+        for m in range(m_max + 1):
             if m:
-                fact *= m
-                power = sym_mul(power, vec)
-            backtrack(
-                idx + 1,
-                a_left - m * a,
-                b_left - m * b,
-                used + m,
-                power.scale(Fraction(1, fact)) if m else power,
-            )
+                partial = _times_vector(partial, vec)
+                if not partial:
+                    return
+                weight = weight / m
+            backtrack(idx + 1, a_left - m * a, b_left - m * b, used + m, partial, weight)
 
-    backtrack(0, k, l, 0, SymElement.unit(L))
-    return out
+    unit = {(0,) * L.dim: Fraction(1)}
+    backtrack(0, k, l, 0, unit, Fraction(math.factorial(k) * math.factorial(l)))
+    return _sym_from_coefficients(L, out)
+
+
+def _times_vector(
+    p: dict[tuple[int, ...], Fraction], vec: list[tuple[int, Fraction]]
+) -> dict[tuple[int, ...], Fraction]:
+    """Sym product of a z-constant coefficient map with a sparse vector."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for alpha, c in p.items():
+        for i, v in vec:
+            key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+            out[key] = out.get(key, 0) + c * v
+    return {alpha: c for alpha, c in out.items() if c}
 
 
 def star_bch_elements(x: SymElement, y: SymElement) -> SymElement:

@@ -90,6 +90,15 @@ def cmd_mul(args) -> int:
     except ExprError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    z0 = None
+    if args.z is not None:
+        try:
+            z0 = Fraction(args.z)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad --z value {args.z!r}") from exc
+    degree, top = x.max_degree + y.max_degree, bch_mod.MAX_TRUNCATION
+    if (args.check or args.method == "bch") and degree > top:
+        raise UsageError(f"the BCH route supports total degree up to {top}, got {degree}")
     if args.check:
         results = {m: star(x, y, method=m) for m in ("pbw", "graded", "bch")}
         reference = results["pbw"]
@@ -103,8 +112,8 @@ def cmd_mul(args) -> int:
         print("methods agree: pbw = graded = bch")
     else:
         result = star(x, y, method=args.method)
-    if args.z is not None:
-        result = result.evaluate_z(Fraction(args.z))
+    if z0 is not None:
+        result = result.evaluate_z(z0)
     print(format_element(result))
     return 0
 

@@ -132,8 +132,11 @@ def basis_vector(L: LieAlgebra, i: int) -> Vector:
 
 def bracket(L: LieAlgebra, v: Sequence, w: Sequence) -> Vector:
     """[v, w] via the structure constants; bilinear and antisymmetric."""
-    v = as_vector(L, v)
-    w = as_vector(L, w)
+    return _bracket(L, as_vector(L, v), as_vector(L, w))
+
+
+def _bracket(L: LieAlgebra, v: Vector, w: Vector) -> Vector:
+    """``bracket`` on vectors that ``as_vector`` has already checked."""
     out = [Fraction(0)] * L.dim
     for (i, j), row in _bracket_table(L).items():
         a = v[i] * w[j] - v[j] * w[i]

@@ -374,8 +374,3 @@ def star(x: SymElement, y: SymElement, method: str = "pbw") -> SymElement:
 
         return star_bch_elements(x, y)
     raise ValueError(f"unknown star method {method!r}")
-
-
-def clear_caches() -> None:
-    """Drop all per-algebra contexts (mainly for benchmarks)."""
-    _contexts.clear()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .liealg import LieAlgebra, Vector, as_vector, bracket
+from .liealg import LieAlgebra, as_vector
 from .zpoly import CoeffLike, PolyZ
 
 MultiIndex = tuple[int, ...]
@@ -386,7 +386,3 @@ def submultiplicative_scale(L: LieAlgebra, p: Seminorm) -> Fraction:
 def asymptotic_estimate(L: LieAlgebra, p: Seminorm) -> Seminorm:
     """The scaled seminorm from submultiplicative_scale, ready to use."""
     return p.scale(submultiplicative_scale(L, p))
-
-
-def bracket_vector(L: LieAlgebra, v: Sequence, w: Sequence) -> Vector:
-    return bracket(L, v, w)

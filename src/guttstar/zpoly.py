@@ -58,11 +58,6 @@ def zp_scale(a: Mapping[int, Fraction], scale: Fraction) -> dict:
     return {e: c * scale for e, c in a.items()}
 
 
-def zp_shift(a: Mapping[int, Fraction], k: int) -> dict:
-    """Multiply by z^k."""
-    return {e + k: c for e, c in a.items()}
-
-
 def zp_eval(a: Mapping[int, Fraction], z0: Fraction) -> Fraction:
     total = Fraction(0)
     for e, c in a.items():
@@ -97,10 +92,6 @@ class PolyZ:
             self._c = c
 
     # construction helpers -------------------------------------------------
-
-    @classmethod
-    def const(cls, value: Scalar) -> "PolyZ":
-        return cls(value)
 
     @classmethod
     def z(cls, power: int = 1, coeff: Scalar = 1) -> "PolyZ":

@@ -31,7 +31,7 @@ from guttstar.pbw import star_pbw
 from guttstar.sym import SymElement, sym_mul
 from guttstar.zpoly import PolyZ
 
-from conftest import random_monomial, random_nonzero_vector
+from random_inputs import random_monomial, random_nonzero_vector
 
 # ---------------------------------------------------------------------------
 # the word expansion

@@ -9,7 +9,7 @@ from guttstar.pbw import star_pbw
 from guttstar.sym import SymElement
 from guttstar.zpoly import PolyZ
 
-from conftest import random_element
+from random_inputs import random_element
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,20 @@ def test_cli_mul(capsys):
 def test_cli_mul_parse_error(capsys):
     assert main(["mul", "P +", "Q"]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "P^7", "Q^6", "--method", "bch"],
+        ["mul", "P^7", "Q^6", "--check"],
+        ["mul", "P", "Q", "--z", "1/0"],
+    ],
+)
+def test_cli_mul_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_mul_methods_agree(capsys):

@@ -23,7 +23,7 @@ from guttstar.pbw import star_pbw
 from guttstar.sym import Seminorm, SymElement, pR_norm, sym_mul
 from guttstar.zpoly import PolyZ
 
-from conftest import random_element
+from random_inputs import random_element
 
 REL = 1e-9
 

@@ -26,7 +26,7 @@ from guttstar.pbw import (
 from guttstar.sym import SymElement, sym_mul
 from guttstar.zpoly import PolyZ
 
-from conftest import random_element, random_monomial
+from random_inputs import random_element, random_monomial
 
 # ---------------------------------------------------------------------------
 # brute-force oracle

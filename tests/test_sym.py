@@ -23,7 +23,7 @@ from guttstar.sym import (
 )
 from guttstar.zpoly import PolyZ
 
-from conftest import random_element, random_monomial
+from random_inputs import random_element, random_monomial
 
 REL = 1e-9
 
