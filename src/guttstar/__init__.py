@@ -29,7 +29,6 @@ from .hopf import (
     weyl_mul,
     weyl_project,
 )
-from .kernel import backend_name
 from .liealg import (
     LieAlgebra,
     LieHom,

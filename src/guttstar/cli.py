@@ -25,7 +25,6 @@ from . import bch as bch_mod
 from . import experiments as exp_mod
 from .exprs import ExprError, format_element, parse_element
 from .hopf import verify_hopf
-from .kernel import backend_name
 from .liealg import LieAlgebra, heisenberg, load_algebra, nilpotency_index
 from .pbw import star, star_pbw
 from .sym import SymElement, sym_mul
@@ -374,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact engine for the deformed symmetric-algebra product "
         "over structure-constant Lie algebras",
     )
-    parser.add_argument(
-        "--backend", action="store_true", help="print the kernel backend and exit"
-    )
     sub = parser.add_subparsers(dest="command")
 
     mul = sub.add_parser("mul", help="multiply two expressions")
@@ -418,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend:
-        print(backend_name())
-        return 0
     if not getattr(args, "command", None):
         parser.print_help()
         return 2

@@ -5,27 +5,44 @@ over the basis, with the rewriting rule
 
     e_j e_i = e_i e_j + z [e_j, e_i]        (j > i)
 
-carried out by the kernel backend.  The quantization map q_z symmetrizes a
-monomial over all permutations; it is computed by the equivalent first-letter
-recursion
+carried out by the normal-ordering kernel.  The quantization map q_z
+symmetrizes a monomial over all permutations,
 
-    q(xi^alpha) = (1/n) sum_i alpha_i  e_i . q(xi^(alpha - delta_i)),
+    q(xi^alpha) = (1/n!) sum_sigma e_sigma(1) ... e_sigma(n),    n = |alpha|.
 
-obtained from grouping the permutation sum by sigma(1).  Its inverse runs a
-top-down triangular elimination (q of a degree-n monomial is its sorted word
-plus strictly shorter words).  ``star_pbw`` is the pull-back product and the
-reference oracle for every other product construction in this package.
+Grouping the sum by sigma(1) gives a division-free recursion for the scaled
+symmetrization Q(alpha) = n! q(xi^alpha),
+
+    Q(alpha) = sum_i alpha_i  e_i . Q(alpha - delta_i),    Q(0) = 1,
+
+so Q(alpha) has integer coefficients whenever the structure constants are
+integers; the kernel and the memo table of Q then hold Python ints only.
+
+The inverse runs a top-down triangular elimination: q of a degree-n
+monomial is its sorted word plus strictly shorter words.  The words still to
+be eliminated are kept as numerators over one common denominator D.  Taking
+off the words of length m reads each coefficient c / D, multiplies every
+remaining numerator and D by m!, and subtracts c Q(alpha), which is then
+exact: c/D q(xi^alpha) = c Q(alpha) / (D m!).  Each output coefficient
+becomes one ``Fraction(c, D)``.  ``star_pbw`` is the pull-back product
+q_z^{-1}(q_z(x) . q_z(y)), computed per monomial pair as
+Q(alpha) Q(beta) / (|alpha|! |beta|!), and the reference oracle for every
+other product construction in this package.
+
+Rational structure constants flow through the same code as ``Fraction``
+numerators.  Public elements always carry ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Mapping
 
 from .kernel import PbwKernel
 from .liealg import LieAlgebra, LieHom, check_hom
 from .sym import MultiIndex, SymElement, sym_mul
-from .zpoly import CoeffLike, PolyZ, zp_mul, zp_scale
+from .zpoly import CoeffLike, PolyZ, zp_accumulate, zp_mul, zp_scale
 
 Word = tuple[int, ...]
 
@@ -127,37 +144,38 @@ class _Context:
         for i in range(algebra.dim):
             for j in range(algebra.dim):
                 if i != j:
-                    row = tuple(sorted(algebra.basis_bracket(i, j).items()))
+                    row = tuple(
+                        (k, c.numerator if c.denominator == 1 else c)
+                        for k, c in sorted(algebra.basis_bracket(i, j).items())
+                    )
                     if row:
                         rows[(i, j)] = row
         self.kernel = PbwKernel(algebra.dim, rows, deform=deformed)
         self.q_cache: dict[MultiIndex, dict] = {}
-        self.star_cache: dict[tuple[MultiIndex, MultiIndex], SymElement] = {}
+        self.star_cache: dict[tuple[MultiIndex, MultiIndex], dict] = {}
 
     # All internals speak the plain-dict coefficient representation
-    # ({z_exp: Fraction}); PolyZ wrapping happens at the public boundary
+    # ({z_exp: coeff}, coeff an int numerator where the constants allow);
+    # PolyZ wrapping and Fraction coefficients happen at the public boundary
     # only, which keeps the dominant elimination loops free of wrapper
-    # object churn.
+    # object churn and of gcd normalization.
 
     def q_monomial(self, alpha: MultiIndex) -> dict[Word, dict]:
+        """Q(alpha) = |alpha|! q(xi^alpha); callers must not mutate."""
         cached = self.q_cache.get(alpha)
         if cached is not None:
             return cached
-        n = sum(alpha)
-        if n == 0:
-            result = {(): {0: Fraction(1)}}
-            self.q_cache[alpha] = result
-            return result
         acc: dict[Word, dict] = {}
+        if not any(alpha):
+            acc[()] = {0: 1}
         for i, a in enumerate(alpha):
             if not a:
                 continue
-            sub = self.q_monomial(_decrement(alpha, i))
-            weight = Fraction(a, n)
-            for word, coeff in sub.items():
-                scaled = zp_scale(coeff, weight)
+            for word, coeff in self.q_monomial(_decrement(alpha, i)).items():
+                if a != 1:
+                    coeff = zp_scale(coeff, a)
                 for w2, c2 in self.kernel.insert(i, word).items():
-                    _raw_accumulate(acc, w2, scaled, c2)
+                    zp_accumulate(acc, w2, coeff, c2)
         self.q_cache[alpha] = acc
         return acc
 
@@ -169,47 +187,59 @@ class _Context:
                 if not cuv:
                     continue
                 for w, c in self.kernel.word_mul(u, v).items():
-                    _raw_accumulate(out, w, cuv, c)
+                    zp_accumulate(out, w, cuv, c)
         return out
 
     def q_raw(self, terms: dict) -> dict:
         out: dict[Word, dict] = {}
         for alpha, coeff in terms.items():
+            scaled = zp_scale(coeff, Fraction(1, factorial(sum(alpha))))
             for w, c in self.q_monomial(alpha).items():
-                _raw_accumulate(out, w, coeff, c)
+                zp_accumulate(out, w, scaled, c)
         return out
 
-    def q_inv_raw(self, u: dict) -> dict:
-        """Exact inverse by triangular elimination on the word length."""
+    def q_inv_raw(self, u: dict, denom: int = 1) -> dict:
+        """q_z^{-1}(u / denom), by triangular elimination on the word length.
+
+        Consumes u: its coefficient dicts become the working numerators.
+        """
+        dim = self.algebra.dim
         result: dict[MultiIndex, dict] = {}
-        remaining = {w: dict(c) for w, c in u.items()}
+        remaining = u
         while remaining:
             top_len = max(len(w) for w in remaining)
             layer = []
             for w in [w for w in remaining if len(w) == top_len]:
                 coeff = remaining.pop(w)
-                alpha = _word_to_multi(w, self.algebra.dim)
-                result[alpha] = coeff
+                alpha = _word_to_multi(w, dim)
+                result[alpha] = {e: Fraction(c, denom) for e, c in coeff.items()}
                 layer.append((alpha, coeff))
+            if top_len < 2:
+                continue  # Q of degree 0 or 1 is its word alone
+            f = factorial(top_len)
+            for coeff in remaining.values():
+                for e in coeff:
+                    coeff[e] *= f
+            denom *= f
             for alpha, coeff in layer:
-                neg = zp_scale(coeff, _MINUS_ONE)
+                neg = zp_scale(coeff, -1)
                 for w, c in self.q_monomial(alpha).items():
                     if len(w) < top_len:
-                        _raw_accumulate(remaining, w, neg, c)
+                        zp_accumulate(remaining, w, neg, c)
             assert all(len(w) < top_len for w in remaining), "elimination failed"
         return result
 
-    def star_monomials(self, alpha: MultiIndex, beta: MultiIndex) -> SymElement:
+    def star_monomials(self, alpha: MultiIndex, beta: MultiIndex) -> dict:
+        """Raw xi^alpha * xi^beta; callers must not mutate."""
         key = (alpha, beta)
         cached = self.star_cache.get(key)
         if cached is None:
             product = self.multiply_raw(self.q_monomial(alpha), self.q_monomial(beta))
-            cached = _raw_to_sym(self.algebra, self.q_inv_raw(product))
+            cached = self.q_inv_raw(
+                product, factorial(sum(alpha)) * factorial(sum(beta))
+            )
             self.star_cache[key] = cached
         return cached
-
-
-_MINUS_ONE = Fraction(-1)
 
 
 def _decrement(alpha: MultiIndex, i: int) -> MultiIndex:
@@ -223,34 +253,13 @@ def _word_to_multi(word: Word, dim: int) -> MultiIndex:
     return tuple(counts)
 
 
-def _raw_accumulate(out: dict, key, ca: dict, cb: dict) -> None:
-    """out[key] += ca * cb on plain-dict z-polynomials; drops empty slots."""
-    slot = out.get(key)
-    if slot is None:
-        slot = out[key] = {}
-    for ea, va in ca.items():
-        for eb, vb in cb.items():
-            e = ea + eb
-            cur = slot.get(e)
-            if cur is None:
-                slot[e] = va * vb
-            else:
-                cur = cur + va * vb
-                if cur:
-                    slot[e] = cur
-                else:
-                    del slot[e]
-    if not slot:
-        del out[key]
-
-
 def _sym_to_raw(x: SymElement) -> dict:
     return {alpha: c.as_dict() for alpha, c in x.items()}
 
 
 def _raw_to_sym(algebra: LieAlgebra, terms: dict) -> SymElement:
-    return SymElement(
-        algebra, {alpha: PolyZ._raw(c) for alpha, c in terms.items() if c}
+    return SymElement._raw(
+        algebra, {alpha: PolyZ._raw(c) for alpha, c in terms.items()}
     )
 
 
@@ -305,13 +314,13 @@ def star_pbw(x: SymElement, y: SymElement) -> SymElement:
     if x.algebra != y.algebra:
         raise ValueError("elements live over different algebras")
     ctx = _context(x.algebra)
-    out = SymElement.zero(x.algebra)
+    out: dict[MultiIndex, dict] = {}
     for alpha, ca in x.items():
         for beta, cb in y.items():
-            c = ca * cb
-            if not c.is_zero:
-                out = out + ctx.star_monomials(alpha, beta).scale(c)
-    return out
+            c = zp_mul(ca, cb)
+            for gamma, cg in ctx.star_monomials(alpha, beta).items():
+                zp_accumulate(out, gamma, c, cg)
+    return _raw_to_sym(x.algebra, out)
 
 
 def star_graded(x: SymElement, y: SymElement) -> SymElement:
@@ -325,23 +334,15 @@ def star_graded(x: SymElement, y: SymElement) -> SymElement:
     if not (x.is_z_constant and y.is_z_constant):
         raise ValueError("star_graded needs z-constant inputs")
     ctx = _context(x.algebra, deformed=False)
-    out = SymElement.zero(x.algebra)
-    for k in x.degrees():
-        xk = x.project(k)
-        for l in y.degrees():
-            yl = y.project(l)
-            block = _raw_to_sym(
-                x.algebra,
-                ctx.q_inv_raw(
-                    ctx.multiply_raw(
-                        ctx.q_raw(_sym_to_raw(xk)), ctx.q_raw(_sym_to_raw(yl))
-                    )
-                ),
-            )
-            for d in block.degrees():
-                part = block.project(d)
-                out = out + part.scale(PolyZ.z(power=k + l - d))
-    return out
+    out: dict[MultiIndex, dict] = {}
+    for alpha, ca in x.items():
+        for beta, cb in y.items():
+            c = zp_mul(ca, cb)
+            kl = sum(alpha) + sum(beta)
+            for gamma, cg in ctx.star_monomials(alpha, beta).items():
+                shift = kl - sum(gamma)
+                zp_accumulate(out, gamma, c, {e + shift: v for e, v in cg.items()})
+    return _raw_to_sym(x.algebra, out)
 
 
 def lift_hom(phi: LieHom, x: SymElement) -> SymElement:

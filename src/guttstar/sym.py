@@ -51,6 +51,15 @@ class SymElement:
                     clean[alpha] = c
         self._terms = clean
 
+    @classmethod
+    def _raw(cls, algebra: LieAlgebra, terms: dict[MultiIndex, PolyZ]) -> "SymElement":
+        """Trusted constructor: terms is already canonical (valid multi-index
+        tuples, nonzero PolyZ coefficients) and is not copied."""
+        x = cls.__new__(cls)
+        x.algebra = algebra
+        x._terms = terms
+        return x
+
     # constructors -----------------------------------------------------------
 
     @classmethod

@@ -2,8 +2,9 @@
 
 Coefficients of all algebra elements live here: a ``PolyZ`` is a finitely
 supported map from nonnegative z-exponents to ``fractions.Fraction``, kept in
-canonical form (no stored zeros).  The compiled/pure kernels work on the plain
-dict representation directly; ``PolyZ`` wraps such dicts for the public API.
+canonical form (no stored zeros).  The kernel and the pbw layer work on the
+plain dict representation directly, where coefficients may also be ``int``
+numerators; ``PolyZ`` wraps such dicts for the public API.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ Scalar = Union[int, Fraction]
 CoeffLike = Union[int, Fraction, "PolyZ"]
 
 # ---------------------------------------------------------------------------
-# plain-dict helpers (hot path; also used by the kernels)
+# plain-dict helpers (hot path; also used by the kernel and the pbw layer)
 # ---------------------------------------------------------------------------
 
 
@@ -35,24 +36,39 @@ def zp_add_into(acc: dict, other: Mapping[int, Fraction], scale: Fraction) -> No
                 del acc[e]
 
 
-def zp_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
+def zp_addmul_into(acc: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> None:
+    """acc += a * b, in place, dropping zeros."""
+    for ea, va in a.items():
+        for eb, vb in b.items():
             e = ea + eb
-            v = out.get(e)
+            v = acc.get(e)
             if v is None:
-                out[e] = ca * cb
+                acc[e] = va * vb
             else:
-                v = v + ca * cb
+                v = v + va * vb
                 if v:
-                    out[e] = v
+                    acc[e] = v
                 else:
-                    del out[e]
+                    del acc[e]
+
+
+def zp_accumulate(out: dict, key, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> None:
+    """out[key] += a * b for a dict of z-polynomials; drops an emptied slot."""
+    slot = out.get(key)
+    if slot is None:
+        slot = out[key] = {}
+    zp_addmul_into(slot, a, b)
+    if not slot:
+        del out[key]
+
+
+def zp_mul(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> dict:
+    out: dict = {}
+    zp_addmul_into(out, a, b)
     return out
 
 
-def zp_scale(a: Mapping[int, Fraction], scale: Fraction) -> dict:
+def zp_scale(a: Mapping[int, Scalar], scale: Scalar) -> dict:
     if not scale:
         return {}
     return {e: c * scale for e, c in a.items()}

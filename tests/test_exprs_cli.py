@@ -271,10 +271,5 @@ def test_cli_unknown_suite_is_usage_error(capsys):
     assert info.value.code == 2
 
 
-def test_cli_backend_flag(capsys):
-    assert main(["--backend"]) == 0
-    assert capsys.readouterr().out.strip() in ("compiled", "python")
-
-
 def test_cli_no_command_prints_help(capsys):
     assert main([]) == 2

@@ -12,9 +12,11 @@ from fractions import Fraction
 
 import pytest
 
+from guttstar.kernel import PbwKernel
 from guttstar.liealg import abelian, heisenberg, make_hom, sl2
 from guttstar.pbw import (
     PbwElement,
+    _context,
     lift_hom,
     pbw_mul,
     q_z,
@@ -27,6 +29,76 @@ from guttstar.sym import SymElement, sym_mul
 from guttstar.zpoly import PolyZ
 
 from random_inputs import random_element, random_monomial
+
+# ---------------------------------------------------------------------------
+# normal-ordering kernel
+# ---------------------------------------------------------------------------
+
+
+def kernel_rows(L):
+    """The kernel's bracket rows with the algebra's Fraction constants."""
+    rows = {}
+    for i in range(L.dim):
+        for j in range(L.dim):
+            if i != j:
+                row = tuple(sorted(L.basis_bracket(i, j).items()))
+                if row:
+                    rows[(i, j)] = row
+    return rows
+
+
+def test_kernel_basic_rewrite():
+    L = heisenberg()
+    k = PbwKernel(L.dim, kernel_rows(L))
+    # e_Q e_P -> e_P e_Q - z e_E
+    assert k.normal_order((1, 0)) == {
+        (0, 1): {0: Fraction(1)},
+        (2,): {1: Fraction(-1)},
+    }
+    # classical kernel carries the bracket at z^0
+    k0 = PbwKernel(L.dim, kernel_rows(L), deform=False)
+    assert k0.normal_order((1, 0)) == {
+        (0, 1): {0: Fraction(1)},
+        (2,): {0: Fraction(-1)},
+    }
+
+
+def test_insert_results_are_not_mutated():
+    L = sl2()
+    k = PbwKernel(L.dim, kernel_rows(L))
+    first = k.insert(2, (0, 1))
+    snapshot = {w: dict(c) for w, c in first.items()}
+    # exercise overlapping computations, then re-check the memoized value
+    k.word_mul((2, 2), (0, 0, 1, 1))
+    k.normal_order((2, 1, 0))
+    assert k.insert(2, (0, 1)) == snapshot
+
+
+def coefficient_types(raw):
+    return {type(c) for coeff in raw.values() for c in coeff.values()}
+
+
+def test_integral_constants_stay_int_inside_and_fraction_outside():
+    """Integral structure constants keep the kernel and the Q(alpha) memo on
+    int; the public maps still return Fraction coefficients only."""
+    for L in (heisenberg(), sl2()):
+        x = SymElement(L, {(1, 2, 0): Fraction(1, 3), (0, 1, 1): 2})
+        y = SymElement(L, {(2, 0, 1): Fraction(-5, 7), (1, 0, 0): 1})
+        product = star_pbw(x, y)
+        image = q_z(product)
+        assert q_z_inv(image) == product
+        ctx = _context(L)
+        assert ctx.q_cache
+        for raw in ctx.q_cache.values():
+            assert coefficient_types(raw) == {int}
+        for letter in range(L.dim):
+            for n in range(4):
+                for word in itertools.combinations_with_replacement(range(L.dim), n):
+                    assert coefficient_types(ctx.kernel.insert(letter, word)) <= {int}
+        for element in (product, q_z_inv(image)):
+            assert {type(c) for _, p in element.items() for _, c in p.items()} == {Fraction}
+        assert {type(c) for _, p in image.items() for _, c in p.items()} == {Fraction}
+
 
 # ---------------------------------------------------------------------------
 # brute-force oracle

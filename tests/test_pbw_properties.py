@@ -1,0 +1,134 @@
+"""Property tests of the PBW route on algebras with non-integral structure
+constants, where the pipeline runs on Fraction numerators instead of int:
+random valid nilpotent algebras of dimension 3-5 and rational rescalings of
+sl2."""
+
+import itertools
+import math
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from guttstar.liealg import bracket, make_algebra, validate
+from guttstar.pbw import _context, pbw_mul, q_z, q_z_inv, star_graded, star_pbw
+from guttstar.sym import SymElement
+from guttstar.zpoly import PolyZ
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+nonzero_rationals = rationals.filter(bool)
+structure_constants = st.sampled_from(
+    [0, 1, -1, Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(1, 7)]
+)
+
+
+@st.composite
+def nilpotent_algebras(draw):
+    """Strictly upper-triangular brackets [e_i, e_j] in span(e_k : k > j)
+    with at least one non-integral constant, kept only when they satisfy
+    the Jacobi identity."""
+    dim = draw(st.integers(3, 5))
+    brackets = {
+        (i, j): {k: draw(structure_constants) for k in range(j + 1, dim)}
+        for i in range(dim)
+        for j in range(i + 1, dim)
+    }
+    assume(any(Fraction(c).denominator > 1 for row in brackets.values() for c in row.values()))
+    L = make_algebra(dim, tuple(f"e{i}" for i in range(dim)), brackets)
+    assume(validate(L))
+    return L
+
+
+@st.composite
+def rescaled_sl2(draw):
+    """sl2 on the basis aH, bE, cF: [H', E'] = 2a E', [H', F'] = -2a F',
+    [E', F'] = (bc/a) H'."""
+    a, b, c = (draw(nonzero_rationals) for _ in range(3))
+    return make_algebra(
+        3, ("H", "E", "F"), {(0, 1): {1: 2 * a}, (0, 2): {2: -2 * a}, (1, 2): {0: b * c / a}}
+    )
+
+
+algebras = st.one_of(nilpotent_algebras(), rescaled_sl2())
+
+
+def elements(L, coefficients, max_degree=3):
+    multi_indices = st.tuples(*[st.integers(0, 2)] * L.dim).filter(
+        lambda a: sum(a) <= max_degree
+    )
+    return st.dictionaries(multi_indices, coefficients, max_size=3).map(
+        lambda terms: SymElement(L, terms)
+    )
+
+
+@st.composite
+def element_pairs(draw):
+    L = draw(algebras)
+    return draw(elements(L, rationals)), draw(elements(L, rationals))
+
+
+@given(case=element_pairs())
+@settings(deadline=None)
+def test_star_pbw_matches_definition_and_star_graded(case):
+    x, y = case
+    product = star_pbw(x, y)
+    assert product == q_z_inv(pbw_mul(q_z(x), q_z(y)))
+    assert product == star_graded(x, y)
+
+
+@st.composite
+def vector_pairs(draw):
+    L = draw(algebras)
+    xi, eta = (draw(st.tuples(*[rationals] * L.dim)) for _ in range(2))
+    return L, xi, eta
+
+
+@given(case=vector_pairs())
+@settings(deadline=None)
+def test_star_commutator_of_vectors_is_z_bracket(case):
+    """xi * eta - eta * xi = z [xi, eta], with the bracket taken from the
+    structure constants, not from the kernel."""
+    L, xi, eta = case
+    x, y = SymElement.from_vector(L, xi), SymElement.from_vector(L, eta)
+    z_bracket = SymElement.from_vector(L, bracket(L, xi, eta)).scale(PolyZ.z())
+    assert star_pbw(x, y) - star_pbw(y, x) == z_bracket
+
+
+@st.composite
+def z_dependent_elements(draw):
+    L = draw(algebras)
+    polys = st.dictionaries(st.integers(0, 2), rationals, max_size=2).map(PolyZ)
+    return draw(elements(L, polys, max_degree=4))
+
+
+@given(x=z_dependent_elements())
+@settings(deadline=None)
+def test_q_z_inv_inverts_q_z(x):
+    assert q_z_inv(q_z(x)) == x
+
+
+@st.composite
+def monomials(draw):
+    L = draw(algebras)
+    alpha = draw(st.tuples(*[st.integers(0, 4)] * L.dim).filter(lambda a: sum(a) <= 4))
+    return L, alpha
+
+
+@given(case=monomials())
+@settings(deadline=None)
+def test_q_z_matches_permutation_sum(case):
+    """q(xi^alpha) = (1/n!) sum over the orderings sigma of the letters of
+    normal_order(e_sigma(1) ... e_sigma(n))."""
+    L, alpha = case
+    letters = [i for i, a in enumerate(alpha) for _ in range(a)]
+    kernel = _context(L).kernel
+    expected = {}
+    for perm in itertools.permutations(letters):
+        for w, coeff in kernel.normal_order(perm).items():
+            slot = expected.setdefault(w, {})
+            for e, c in coeff.items():
+                slot[e] = slot.get(e, 0) + Fraction(c, math.factorial(len(letters)))
+    terms = {w: PolyZ(c) for w, c in expected.items()}
+    assert dict(q_z(SymElement.monomial(L, alpha)).items()) == {
+        w: c for w, c in terms.items() if c
+    }
