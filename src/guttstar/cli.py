@@ -167,9 +167,15 @@ def _bracket_vec(algebra: LieAlgebra, i: int, j: int):
 
 
 def _suite_hopf(algebra: LieAlgebra, max_degree: int, seed: int):
+    """Yields (law, ok), plus the report's witness under its first failing law."""
     report = verify_hopf(algebra, min(max_degree, 6), seed=seed)
+    witness = report.witness
     for name, ok in report.checks:
-        yield name, ok
+        if ok or witness is None:
+            yield name, ok
+        else:
+            yield name, ok, witness
+            witness = None
 
 
 def _suite_appendix(algebra: LieAlgebra, max_degree: int, seed: int):
@@ -273,8 +279,10 @@ def cmd_verify(args) -> int:
     all_ok = True
     for name in names:
         print(f"[{name}]")
-        for law, ok in suites[name](algebra, args.max_degree, args.seed):
+        for law, ok, *witness in suites[name](algebra, args.max_degree, args.seed):
             print(f"  {'pass' if ok else 'FAIL'}  {law}")
+            for text in witness:
+                print(f"        witness: {text}")
             all_ok = all_ok and ok
     return 0 if all_ok else 1
 

@@ -23,8 +23,10 @@ from .sym import (
     Seminorm,
     SymElement,
     graded_term,
+    weight_ratio,
+    weight_ratios,
 )
-from .zpoly import CoeffLike, PolyZ
+from .zpoly import CoeffLike, PolyZ, zp_add_into, zp_eval
 
 # ---------------------------------------------------------------------------
 # Sym (x) Sym and the structure maps
@@ -220,6 +222,9 @@ def antipode_convolution(x: SymElement) -> SymElement:
 
 @dataclass
 class HopfReport:
+    """Each checked law with its outcome; ``witness`` names an input on
+    which the first failing law fails."""
+
     checks: list[tuple[str, bool]] = field(default_factory=list)
     witness: Optional[str] = None
 
@@ -268,48 +273,52 @@ def verify_hopf(L: LieAlgebra, max_degree: int, seed: int = 0, samples: int = 4)
     elements = [random_element(L, rng, max_degree) for _ in range(samples)]
     unit_multi = (0,) * L.dim
 
-    ok = all(
-        _triple_left(coproduct(x)) == _triple_right(coproduct(x)) for x in elements
+    def record(law: str, witness: Optional[str]) -> None:
+        report.checks.append((law, witness is None))
+        if report.witness is None:
+            report.witness = witness
+
+    laws = (
+        (
+            "coassociativity",
+            "coassociativity (Delta x id)Delta = (id x Delta)Delta",
+            lambda x: _triple_left(coproduct(x)) == _triple_right(coproduct(x)),
+        ),
+        (
+            "counit law",
+            "counit law (eps x id)Delta = id = (id x eps)Delta",
+            lambda x: tensor_counit_left(coproduct(x)) == x == tensor_counit_right(coproduct(x)),
+        ),
+        (
+            "antipode law",
+            "antipode law mu(S x id)Delta = unit . counit",
+            lambda x: antipode_convolution(x) == SymElement(L, {unit_multi: counit(x)}),
+        ),
     )
-    report.checks.append(("coassociativity (Delta x id)Delta = (id x Delta)Delta", ok))
+    for short, law, holds in laws:
+        bad = next((x for x in elements if not holds(x)), None)
+        record(law, None if bad is None else f"{short} fails on {bad}")
 
-    ok = all(
-        tensor_counit_left(coproduct(x)) == x
-        and tensor_counit_right(coproduct(x)) == x
-        for x in elements
-    )
-    report.checks.append(("counit law (eps x id)Delta = id = (id x eps)Delta", ok))
-
-    ok = True
-    for x in elements:
-        expected = SymElement(L, {unit_multi: counit(x)})
-        if antipode_convolution(x) != expected:
-            ok = False
-            report.witness = f"antipode law fails on {x}"
-            break
-    report.checks.append(("antipode law mu(S x id)Delta = unit . counit", ok))
-
-    ok = True
+    witness = None
     for x in elements:
         y = random_element(L, rng, max_degree)
-        lhs = coproduct(star_pbw(x, y))
-        rhs = tensor_star(coproduct(x), coproduct(y))
-        if lhs != rhs:
-            ok = False
-            report.witness = f"Delta-morphism fails on {x} and {y}"
+        if coproduct(star_pbw(x, y)) != tensor_star(coproduct(x), coproduct(y)):
+            witness = f"Delta-morphism fails on {x} and {y}"
             break
-    report.checks.append(("coproduct is a morphism for the deformed product", ok))
+    record("coproduct is a morphism for the deformed product", witness)
     return report
 
 
 def tensor_pR(p: Seminorm, R: RLike, t: SymTensorElement, scale: float = 1.0) -> float:
     """(scale*p)_R (x) (scale*p)_R of a tensor, exact for weighted l1 norms."""
+    nums, dens = weight_ratios(p)
     total = 0.0
     for (a, b), c in t.items():
         if not c.is_constant:
             raise ValueError("tensor norm needs z-constant coefficients")
-        na, nb = sum(a), sum(b)
-        weight = abs(c.constant_value()) * p.monomial_weight(a) * p.monomial_weight(b)
+        na, an, ad = weight_ratio(c.coeff(0), a, nums, dens)
+        nb, bn, bd = weight_ratio(1, b, nums, dens)
+        weight = Fraction(an * bn, ad * bd)
         total += graded_term(nb, R, Fraction(1), scale) * graded_term(na, R, weight, scale)
     return total
 
@@ -351,6 +360,15 @@ class WeylElement:
                     clean[key] = c
         self._terms = clean
 
+    @classmethod
+    def _raw(cls, central: Fraction, terms: dict[tuple[int, int], PolyZ]) -> "WeylElement":
+        """Trusted constructor: terms is already canonical (int pairs, nonzero
+        PolyZ coefficients) and is not copied."""
+        w = cls.__new__(cls)
+        w.central = central
+        w._terms = terms
+        return w
+
     def items(self):
         return self._terms.items()
 
@@ -381,9 +399,12 @@ class WeylElement:
 
     def evaluate_z(self, z0: Union[int, Fraction]) -> "WeylElement":
         z0 = Fraction(z0)
-        return WeylElement(
-            self.central, {k: c.evaluate(z0) for k, c in self._terms.items()}
-        )
+        out = {}
+        for k, c in self._terms.items():
+            v = zp_eval(c._c, z0)
+            if v:
+                out[k] = PolyZ._raw({0: v})
+        return WeylElement._raw(self.central, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElement):
@@ -403,19 +424,14 @@ def weyl_project(x: SymElement, c: Union[int, Fraction]) -> WeylElement:
     if not is_heisenberg_shaped(x.algebra):
         raise ValueError("Weyl projection needs the 3-dim Heisenberg algebra shape")
     c = Fraction(c)
-    out: dict[tuple[int, int], PolyZ] = {}
+    out: dict[tuple[int, int], dict] = {}
     for (p_exp, q_exp, e_exp), coeff in x.items():
-        scaled = coeff * c**e_exp
-        if scaled.is_zero:
-            continue
         key = (q_exp, p_exp)
-        prev = out.get(key)
-        s = scaled + prev if prev is not None else scaled
-        if s.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return WeylElement(c, out)
+        acc = out.setdefault(key, {})
+        zp_add_into(acc, coeff._c, c**e_exp)
+        if not acc:
+            del out[key]
+    return WeylElement._raw(c, {k: PolyZ._raw(v) for k, v in out.items()})
 
 
 def weyl_lift(L: LieAlgebra, w: WeylElement) -> SymElement:
@@ -437,10 +453,11 @@ def weyl_mul(L: LieAlgebra, a: WeylElement, b: WeylElement) -> WeylElement:
 
 def weyl_pR(p: Seminorm, R: RLike, w: WeylElement, scale: float = 1.0) -> float:
     """(scale*p)_R of a Weyl element in its Q^k P^l normal form."""
+    nums, dens = weight_ratios(p)
     total = 0.0
     for (k, l), c in w.items():
         if not c.is_constant:
             raise ValueError("norm needs z-constant coefficients; evaluate_z first")
-        weight = abs(c.constant_value()) * p.weights[1] ** k * p.weights[0] ** l
-        total += graded_term(k + l, R, weight, scale)
+        n, num, den = weight_ratio(c.coeff(0), (l, k), nums, dens)  # P^l Q^k
+        total += graded_term(n, R, Fraction(num, den), scale)
     return total

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .liealg import LieAlgebra, as_vector
-from .zpoly import CoeffLike, PolyZ
+from .zpoly import CoeffLike, PolyZ, ratio_add, zp_eval
 
 MultiIndex = tuple[int, ...]
 RLike = Union[int, float, Fraction]
@@ -185,22 +185,28 @@ class SymElement:
         """Homogeneous degree-n part."""
         if n < 0:
             raise ValueError("degree must be nonnegative")
-        return SymElement(
+        return SymElement._raw(
             self.algebra, {a: c for a, c in self._terms.items() if sum(a) == n}
         )
 
     def evaluate_z(self, z0: Union[int, Fraction]) -> "SymElement":
         """Substitute z = z0 in every coefficient."""
         z0 = Fraction(z0)
-        return SymElement(
-            self.algebra, {a: c.evaluate(z0) for a, c in self._terms.items()}
-        )
+        out = {}
+        for a, c in self._terms.items():
+            v = zp_eval(c._c, z0)
+            if v:
+                out[a] = PolyZ._raw({0: v})
+        return SymElement._raw(self.algebra, out)
 
     def z_coefficient(self, n: int) -> "SymElement":
         """The Sym-valued coefficient of z^n."""
-        return SymElement(
-            self.algebra, {a: c.coeff(n) for a, c in self._terms.items()}
-        )
+        out = {}
+        for a, c in self._terms.items():
+            v = c._c.get(n)
+            if v is not None:
+                out[a] = PolyZ._raw({0: v})
+        return SymElement._raw(self.algebra, out)
 
     def __str__(self) -> str:
         from .exprs import format_element
@@ -285,13 +291,6 @@ class Seminorm:
         v = as_vector(self.algebra, v)
         return sum((abs(c) * w for c, w in zip(v, self.weights)), Fraction(0))
 
-    def monomial_weight(self, alpha: MultiIndex) -> Fraction:
-        out = Fraction(1)
-        for w, a in zip(self.weights, alpha):
-            if a:
-                out *= w**a
-        return out
-
 
 def factorial_power(n: int, R: RLike) -> float:
     """n!^R in floating point."""
@@ -315,8 +314,11 @@ def graded_term(n: int, R: RLike, part: Fraction, scale: float = 1.0) -> float:
         return 0.0
     fR = float(R)
     if fR.is_integer():
+        # int true division rounds correctly, exactly as float(Fraction) does
+        k = math.factorial(n) ** abs(int(fR))
+        num, den = part.numerator, part.denominator
         try:
-            return (scale**n) * float(factorial_power_exact(n, int(fR)) * part)
+            return (scale**n) * (num * k / den if fR >= 0 else num / (den * k))
         except OverflowError:
             return math.inf
     log_term = (
@@ -331,16 +333,45 @@ def graded_term(n: int, R: RLike, part: Fraction, scale: float = 1.0) -> float:
     return math.exp(log_term)
 
 
+def weight_ratios(p: Seminorm) -> tuple[list[int], list[int]]:
+    """The weights as parallel lists of int numerators and denominators."""
+    return [w.numerator for w in p.weights], [w.denominator for w in p.weights]
+
+
+def weight_ratio(
+    c: Union[int, Fraction], alpha: Sequence[int], nums: Sequence[int], dens: Sequence[int]
+) -> tuple[int, int, int]:
+    """(|alpha|, num, den) with num/den = |c| prod w^alpha, from weight_ratios."""
+    n, num, den = 0, abs(c.numerator), c.denominator
+    for a, wn, wd in zip(alpha, nums, dens):
+        if a:
+            n += a
+            num *= wn**a
+            den *= wd**a
+    return n, num, den
+
+
+def pn_by_degree(p: Seminorm, x: SymElement) -> dict[int, Fraction]:
+    """{n: p^n(x_n)} for every degree n of x, read in one pass.
+
+    Each degree sums |c_alpha| prod w^alpha as an int numerator over the
+    least common denominator; only the final value is a Fraction."""
+    nums, dens = weight_ratios(p)
+    acc: dict[int, tuple[int, int]] = {}
+    for alpha, c in x.items():
+        if not c.is_constant:
+            raise ValueError("pn_norm needs z-constant coefficients; evaluate_z first")
+        n, num, den = weight_ratio(c.coeff(0), alpha, nums, dens)
+        prev = acc.get(n)
+        acc[n] = (num, den) if prev is None else ratio_add(*prev, num, den)
+    return {n: Fraction(num, den) for n, (num, den) in acc.items()}
+
+
 def pn_norm(p: Seminorm, x: SymElement) -> Fraction:
     """p^n of a homogeneous, z-constant element: sum |c_alpha| prod w^alpha."""
     if not x.is_homogeneous():
         raise ValueError("pn_norm needs a homogeneous element")
-    if not x.is_z_constant:
-        raise ValueError("pn_norm needs z-constant coefficients; evaluate_z first")
-    total = Fraction(0)
-    for alpha, c in x.items():
-        total += abs(c.constant_value()) * p.monomial_weight(alpha)
-    return total
+    return sum(pn_by_degree(p, x).values(), Fraction(0))
 
 
 def pR_norm(p: Seminorm, R: RLike, x: SymElement, scale: float = 1.0) -> float:
@@ -350,20 +381,17 @@ def pR_norm(p: Seminorm, R: RLike, x: SymElement, scale: float = 1.0) -> float:
     (c p)^n = c^n p^n, so irrational scales (2^R, 8e(|z|+1), ...) stay exact
     until the final float conversion.
     """
+    parts = pn_by_degree(p, x)
     total = 0.0
-    for n in x.degrees():
-        part = pn_norm(p, x.project(n))
-        if part:
-            total += graded_term(n, R, part, scale)
+    for n in sorted(parts):
+        total += graded_term(n, R, parts[n], scale)
     return total
 
 
 def pR_norm_exact(p: Seminorm, R: int, x: SymElement) -> Fraction:
     """p_R(x) as an exact rational, available for integral R."""
-    total = Fraction(0)
-    for n in x.degrees():
-        total += factorial_power_exact(n, R) * pn_norm(p, x.project(n))
-    return total
+    parts = pn_by_degree(p, x)
+    return sum((factorial_power_exact(n, R) * v for n, v in parts.items()), Fraction(0))
 
 
 def scale_seminorm(c: Union[int, Fraction], p: Seminorm) -> Seminorm:

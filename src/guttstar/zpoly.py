@@ -10,10 +10,12 @@ numerators; ``PolyZ`` wraps such dicts for the public API.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 CoeffLike = Union[int, Fraction, "PolyZ"]
+_FZERO = Fraction(0)  # shared default of coeff(); Fraction is immutable
 
 # ---------------------------------------------------------------------------
 # plain-dict helpers (hot path; also used by the kernel and the pbw layer)
@@ -74,11 +76,25 @@ def zp_scale(a: Mapping[int, Scalar], scale: Scalar) -> dict:
     return {e: c * scale for e, c in a.items()}
 
 
+def ratio_add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
+    """num/den + n/d over the least common denominator (not reduced further)."""
+    if den == d:
+        return num + n, den
+    g = gcd(den, d)
+    return num * (d // g) + n * (den // g), den // g * d
+
+
 def zp_eval(a: Mapping[int, Fraction], z0: Fraction) -> Fraction:
-    total = Fraction(0)
+    """a(z0), exactly: a constant returns its value, and any other polynomial
+    is summed on integers over the common denominator zd^top of z0 = zn/zd."""
+    if len(a) == 1 and 0 in a:
+        return a[0]
+    zn, zd = z0.numerator, z0.denominator
+    top = max(a, default=0)
+    num, den = 0, 1
     for e, c in a.items():
-        total += c * z0**e
-    return total
+        num, den = ratio_add(num, den, c.numerator * zn**e * zd ** (top - e), c.denominator)
+    return Fraction(num, den * zd**top)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +150,7 @@ class PolyZ:
         return dict(self._c)
 
     def coeff(self, exponent: int) -> Fraction:
-        return self._c.get(exponent, Fraction(0))
+        return self._c.get(exponent, _FZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -142,12 +158,12 @@ class PolyZ:
 
     @property
     def is_constant(self) -> bool:
-        return not self._c or set(self._c) == {0}
+        return not self._c or (len(self._c) == 1 and 0 in self._c)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"coefficient depends on z: {self}")
-        return self._c.get(0, Fraction(0))
+        return self._c.get(0, _FZERO)
 
     @property
     def degree(self) -> int:

@@ -188,6 +188,11 @@ def test_run_experiment_and_csv(tmp_path, heis):
     assert set(rows[0]) == {"estimate_id", "params", "lhs", "rhs", "ratio", "pass"}
     text = ex.summary_text(reports)
     assert "heisenberg-growth" in text and "0 failures" in text
+    for report in reports:
+        worst = max(
+            (r for r in report.rows if math.isfinite(r.ratio)), key=lambda r: r.ratio
+        )
+        assert f"worst lhs/rhs {worst.ratio:.6g} at {worst.params}" in text
 
 
 def test_run_experiment_rejects_unknown():
@@ -203,3 +208,41 @@ def test_report_slack_semantics():
     report.add("fail", 1.0 + 1e-8, 1.0)
     assert not report.passed
     assert len(report.failures()) == 1
+
+
+def test_report_non_finite_samples_fail():
+    inf, nan = math.inf, math.nan
+    for lhs, rhs in ((inf, inf), (1.0, inf), (inf, 1.0), (nan, 1.0), (1.0, nan), (-inf, 0.0)):
+        report = ex.EstimateReport("demo", "grid")
+        report.add("row", lhs, rhs)
+        assert not report.passed, (lhs, rhs)
+    report = ex.EstimateReport("demo", "grid")
+    report.add("big", 1e300, 1e301)
+    assert report.passed
+
+
+def test_summary_reports_worst_finite_ratio():
+    report = ex.EstimateReport("demo", "grid")
+    report.add("a", 1.0, 4.0)
+    report.add("b", 3.0, 4.0)
+    report.add("over", math.inf, 1.0)
+    report.add("zero", 1.0, 0.0)
+    assert report.worst().params == "b"
+    text = ex.summary_text([report, ex.EstimateReport("empty", "grid")])
+    assert "(4 samples, 2 failures), worst lhs/rhs 0.75 at b" in text
+    assert "pass  empty [grid] (0 samples, 0 failures)\ntotal" in text
+
+
+def test_no_exp_convergence_windows_sum_their_own_terms():
+    (report,) = [
+        r for r in ex.run_experiment("no-exp", R_list=[0.9]) if r.estimate_id == "no-exp-convergence"
+    ]
+    assert [r.params for r in report.rows] == [
+        "tail:50->100", "tail:100->150", "tail:150->200", "tail:200->250"
+    ]
+    assert report.passed
+    # each window is a positive sum of n!^-0.1 terms, not a float difference
+    for row, start in zip(report.rows, (50, 100, 150, 200)):
+        expected = math.fsum(math.exp(-0.1 * math.lgamma(n + 1)) for n in range(start + 1, start + 51))
+        assert 0.0 < row.lhs < ex.NO_EXP_TAIL_TOLERANCE
+        assert math.isclose(row.lhs, expected, rel_tol=1e-9)

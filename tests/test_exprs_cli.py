@@ -210,6 +210,30 @@ def test_cli_experiment_no_exp(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_experiment_no_exp_defaults_pass(tmp_path, capsys):
+    # the R < 1 windows start past the head of the series
+    assert main(["experiment", "no-exp", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "no-exp-convergence" in out and "tail:50->100" in out
+
+
+def test_cli_verify_hopf_prints_witness(monkeypatch, capsys):
+    from guttstar import cli
+    from guttstar.hopf import HopfReport
+
+    report = HopfReport(
+        checks=[("counit law", True), ("antipode law", False), ("Delta-morphism", False)],
+        witness="antipode law fails on P*Q",
+    )
+    monkeypatch.setattr(cli, "verify_hopf", lambda *args, **kwargs: report)
+    assert main(["verify", "hopf"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("  FAIL  antipode law")
+    assert lines[at + 1] == "        witness: antipode law fails on P*Q"
+    assert lines[at + 2] == "  FAIL  Delta-morphism"
+    assert sum("witness" in line for line in lines) == 1
+
+
 def test_cli_experiment_functorial_and_text_format(tmp_path, capsys):
     code = main(
         ["experiment", "functorial", "--format", "text", "--out", str(tmp_path)]
