@@ -293,11 +293,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    algebra, weights = _load_algebra_arg(args)
     if args.name not in exp_mod.EXPERIMENT_NAMES:
         raise UsageError(
             f"unknown experiment {args.name!r}; choose from {exp_mod.EXPERIMENT_NAMES}"
         )
+    # reject inputs that would leave a grid empty or an option silently unused
+    limits = (("--max-degree", args.max_degree), ("--kmax", args.kmax), ("--Nmax", args.nmax))
+    for flag, value in limits:
+        if value < 0:
+            raise UsageError(f"{flag} must be nonnegative")
+    if args.name == "heisenberg-growth" and args.kmax < 2:
+        raise UsageError("heisenberg-growth needs --kmax >= 2 to test monotonicity")
+    if args.name in ("heisenberg-growth", "weyl-estimate") and (args.algebra or args.weight):
+        raise UsageError(
+            f"{args.name} always runs on the Heisenberg algebra with unit weights; "
+            "--algebra and --weight do not apply"
+        )
+    algebra, weights = _load_algebra_arg(args)
     R_list = _parse_float_list(args.R, "--R")
     z_list = _parse_fraction_list(args.z, "--z")
     try:

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .bch import bernoulli_star
 from .hopf import antipode, coproduct, tensor_pR, weyl_pR, weyl_project
@@ -49,6 +49,7 @@ from .sym import (
     pn_norm,
     submultiplicative_scale,
 )
+from .zpoly import ONE
 
 SLACK = 1e-9
 
@@ -154,12 +155,36 @@ def monomials_of_degree(L: LieAlgebra, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def monomial_pairs(L: LieAlgebra, max_total_degree: int):
+def monomial_pairs(
+    L: LieAlgebra, max_total_degree: int, max_factor_degree: Optional[int] = None
+):
+    """Monomial pairs by total degree, then by the degree of the left factor;
+    with max_factor_degree, only the pairs whose factors both stay within it."""
+    top = max_total_degree if max_factor_degree is None else max_factor_degree
+    by_degree = [monomials_of_degree(L, k) for k in range(top + 1)]
     for total in range(max_total_degree + 1):
-        for k in range(total + 1):
-            for alpha in monomials_of_degree(L, k):
-                for beta in monomials_of_degree(L, total - k):
+        for k in range(max(0, total - top), min(total, top) + 1):
+            for alpha in by_degree[k]:
+                for beta in by_degree[total - k]:
                     yield alpha, beta
+
+
+def _monomial(L: LieAlgebra, alpha: tuple[int, ...]) -> SymElement:
+    """xi^alpha for a valid multi-index, through the trusted constructor."""
+    return SymElement._raw(L, {alpha: ONE})
+
+
+def _monomial_inputs(
+    L: LieAlgebra, max_degree: int, norm: Callable[[SymElement], float]
+) -> dict[tuple[int, ...], tuple[SymElement, float]]:
+    """{alpha: (xi^alpha, norm(xi^alpha))} for every monomial of degree at
+    most max_degree, so that a sweep builds and measures each input once."""
+    inputs = {}
+    for k in range(max_degree + 1):
+        for alpha in monomials_of_degree(L, k):
+            x = _monomial(L, alpha)
+            inputs[alpha] = (x, norm(x))
+    return inputs
 
 
 def _random_element(L: LieAlgebra, rng: random.Random, max_degree: int, terms: int = 3) -> SymElement:
@@ -201,10 +226,11 @@ def check_cn_estimate(
     report = EstimateReport("cn-estimate", f"R={R},deg<={max_total_degree},c={constant}")
     rng = random.Random(seed)
 
-    def record(x: SymElement, y: SymElement, tag: str) -> None:
+    def norm(x: SymElement) -> float:
+        return pR_norm(q, R, x, scale=constant)
+
+    def record(x: SymElement, qx: float, y: SymElement, qy: float, tag: str) -> None:
         product = star_pbw(x, y)
-        qx = pR_norm(q, R, x, scale=constant)
-        qy = pR_norm(q, R, y, scale=constant)
         top = x.max_degree + y.max_degree
         for n in range(1, max(top, 0)):
             cn = product.z_coefficient(n)
@@ -212,18 +238,13 @@ def check_cn_estimate(
             rhs = factorial_power(n, 1.0 - R) / (2.0 * 8.0**n) * qx * qy
             report.add(f"{tag},n={n}", lhs, rhs)
 
+    inputs = _monomial_inputs(L, max_total_degree, norm)
     for alpha, beta in monomial_pairs(L, max_total_degree):
-        record(
-            SymElement.monomial(L, alpha),
-            SymElement.monomial(L, beta),
-            f"mono:{alpha}|{beta}",
-        )
+        record(*inputs[alpha], *inputs[beta], f"mono:{alpha}|{beta}")
     for i in range(n_random):
-        record(
-            _random_element(L, rng, max_degree=4),
-            _random_element(L, rng, max_degree=4),
-            f"rand:{i}",
-        )
+        x = _random_element(L, rng, max_degree=4)
+        y = _random_element(L, rng, max_degree=4)
+        record(x, norm(x), y, norm(y), f"rand:{i}")
     return report
 
 
@@ -244,23 +265,20 @@ def check_product_estimate(
     report = EstimateReport("product-estimate", f"R={R},z={z0},deg<={max_total_degree}")
     rng = random.Random(seed)
 
-    def record(x: SymElement, y: SymElement, tag: str) -> None:
-        lhs = pR_norm(p, R, star_pbw(x, y).evaluate_z(z0))
-        rhs = pR_norm(q, R, x, scale=c) * pR_norm(q, R, y, scale=c)
-        report.add(tag, lhs, rhs)
+    def norm(x: SymElement) -> float:
+        return pR_norm(q, R, x, scale=c)
 
+    def record(x: SymElement, qx: float, y: SymElement, qy: float, tag: str) -> None:
+        lhs = pR_norm(p, R, star_pbw(x, y).evaluate_z(z0))
+        report.add(tag, lhs, qx * qy)
+
+    inputs = _monomial_inputs(L, max_total_degree, norm)
     for alpha, beta in monomial_pairs(L, max_total_degree):
-        record(
-            SymElement.monomial(L, alpha),
-            SymElement.monomial(L, beta),
-            f"mono:{alpha}|{beta}",
-        )
+        record(*inputs[alpha], *inputs[beta], f"mono:{alpha}|{beta}")
     for i in range(n_random):
-        record(
-            _random_element(L, rng, max_degree=4),
-            _random_element(L, rng, max_degree=4),
-            f"rand:{i}",
-        )
+        x = _random_element(L, rng, max_degree=4)
+        y = _random_element(L, rng, max_degree=4)
+        record(x, norm(x), y, norm(y), f"rand:{i}")
     return report
 
 
@@ -417,25 +435,25 @@ def check_linear_estimate(
     report = EstimateReport("linear-estimate", f"R={R},z={z0},k<={k_max}")
     rng = random.Random(seed)
 
-    def record(x: SymElement, eta: Vector, tag: str) -> None:
+    def norm(x: SymElement) -> float:
+        return pR_norm(p_sub, R, x)
+
+    def linear(eta: Vector) -> tuple[SymElement, float]:
+        return SymElement.from_vector(L, eta), float(p_sub.vector_norm(eta))
+
+    def record(x: SymElement, px: float, y: SymElement, py: float, tag: str) -> None:
         k = max(x.max_degree, 0)
-        lhs = pR_norm(
-            p_sub, R, star_pbw(x, SymElement.from_vector(L, eta)).evaluate_z(z0)
-        )
-        rhs = c * (k + 1.0) ** R * pR_norm(p_sub, R, x) * float(p_sub.vector_norm(eta))
+        lhs = pR_norm(p_sub, R, star_pbw(x, y).evaluate_z(z0))
+        rhs = c * (k + 1.0) ** R * px * py
         report.add(tag, lhs, rhs)
 
-    for k in range(k_max + 1):
-        for alpha in monomials_of_degree(L, k):
-            x = SymElement.monomial(L, alpha)
-            for i in range(L.dim):
-                record(x, basis_vector(L, i), f"mono:{alpha},eta={i}")
+    etas = [linear(basis_vector(L, i)) for i in range(L.dim)]
+    for alpha, x_input in _monomial_inputs(L, k_max, norm).items():
+        for i, eta_input in enumerate(etas):
+            record(*x_input, *eta_input, f"mono:{alpha},eta={i}")
     for i in range(n_random):
-        record(
-            _random_element(L, rng, max_degree=min(k_max, 5)),
-            _random_vector(L, rng),
-            f"rand:{i}",
-        )
+        x = _random_element(L, rng, max_degree=min(k_max, 5))
+        record(x, norm(x), *linear(_random_vector(L, rng)), f"rand:{i}")
     return report
 
 
@@ -517,15 +535,15 @@ def check_nilpotent_estimates(
     )
     rng = random.Random(seed)
 
+    inputs = _monomial_inputs(
+        L, max_total_degree, lambda x: pR_norm(q, R + eps, x, scale=c_cn)
+    )
     for alpha, beta in monomial_pairs(L, max_total_degree):
-        x = SymElement.monomial(L, alpha)
-        y = SymElement.monomial(L, beta)
         k, l = sum(alpha), sum(beta)
         if k + l == 0:
             continue
+        (x, qx), (y, qy) = inputs[alpha], inputs[beta]
         product = star_pbw(x, y)
-        qx = pR_norm(q, R + eps, x, scale=c_cn)
-        qy = pR_norm(q, R + eps, y, scale=c_cn)
         cutoff = (k + l) * (N - 1) / N
         for n in range(1, k + l):
             cn = product.z_coefficient(n)
@@ -663,15 +681,14 @@ def check_weyl_estimate(
         else constant
     )
     report = EstimateReport("weyl-estimate", f"R={R},z={z0},c0={central}")
-    for alpha, beta in monomial_pairs(L, 2 * max_factor_degree):
-        if sum(alpha) > max_factor_degree or sum(beta) > max_factor_degree:
-            continue
-        x = SymElement.monomial(L, alpha)
-        y = SymElement.monomial(L, beta)
+    inputs = _monomial_inputs(
+        L, max_factor_degree, lambda x: pR_norm(p, R, x, scale=c)
+    )
+    for alpha, beta in monomial_pairs(L, 2 * max_factor_degree, max_factor_degree):
+        (x, px), (y, py) = inputs[alpha], inputs[beta]
         projected = weyl_project(star_pbw(x, y), central).evaluate_z(z0)
         lhs = weyl_pR(p, R, projected)
-        rhs = pR_norm(p, R, x, scale=c) * pR_norm(p, R, y, scale=c)
-        report.add(f"mono:{alpha}|{beta}", lhs, rhs)
+        report.add(f"mono:{alpha}|{beta}", lhs, px * py)
     return report
 
 
@@ -864,7 +881,7 @@ def check_hopf_estimates(
 
     for degree in range(max_degree + 1):
         for alpha in monomials_of_degree(L, degree):
-            record(SymElement.monomial(L, alpha), f"mono:{alpha}")
+            record(_monomial(L, alpha), f"mono:{alpha}")
     for i in range(n_random):
         record(_random_element(L, rng, max_degree=min(max_degree, 5)), f"rand:{i}")
     return report

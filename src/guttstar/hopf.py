@@ -26,7 +26,7 @@ from .sym import (
     weight_ratio,
     weight_ratios,
 )
-from .zpoly import CoeffLike, PolyZ, zp_add_into, zp_eval
+from .zpoly import CoeffLike, PolyZ, zp_accumulate, zp_add_into, zp_eval, zp_mul
 
 # ---------------------------------------------------------------------------
 # Sym (x) Sym and the structure maps
@@ -56,6 +56,17 @@ class SymTensorElement:
                 else:
                     clean[key] = c
         self._terms = clean
+
+    @classmethod
+    def _raw(
+        cls, algebra: LieAlgebra, terms: dict[tuple[MultiIndex, MultiIndex], PolyZ]
+    ) -> "SymTensorElement":
+        """Trusted constructor: terms is already canonical (pairs of valid
+        multi-index tuples, nonzero PolyZ coefficients) and is not copied."""
+        t = cls.__new__(cls)
+        t.algebra = algebra
+        t._terms = terms
+        return t
 
     def items(self):
         return self._terms.items()
@@ -144,18 +155,17 @@ def counit(x: SymElement) -> PolyZ:
 def tensor_star(a: SymTensorElement, b: SymTensorElement) -> SymTensorElement:
     """Componentwise star product on Sym (x) Sym."""
     L = a.algebra
-    out = SymTensorElement(L)
+    out: dict[tuple[MultiIndex, MultiIndex], dict] = {}
     for (a1, a2), ca in a.items():
         for (b1, b2), cb in b.items():
             left = star_pbw(SymElement.monomial(L, a1), SymElement.monomial(L, b1))
             right = star_pbw(SymElement.monomial(L, a2), SymElement.monomial(L, b2))
-            coeff = ca * cb
-            terms = {}
+            coeff = zp_mul(ca._c, cb._c)
             for al, cl in left.items():
+                scaled = zp_mul(cl._c, coeff)
                 for ar, cr in right.items():
-                    terms[(al, ar)] = cl * cr * coeff
-            out = out + SymTensorElement(L, terms)
-    return out
+                    zp_accumulate(out, (al, ar), scaled, cr._c)
+    return SymTensorElement._raw(L, {k: PolyZ._raw(c) for k, c in out.items()})
 
 
 def tensor_counit_left(t: SymTensorElement) -> SymElement:

@@ -51,6 +51,18 @@ class LieAlgebra:
                     raise ValueError(f"bracket target index {k} out of range")
                 if not isinstance(c, Fraction) or c == 0:
                     raise ValueError("bracket coefficients must be nonzero Fractions")
+        # hashed once: every memo lookup keyed by the algebra rehashes it
+        object.__setattr__(
+            self, "_hash", hash((self.dim, self.basis_names, self.brackets))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled copy rehashes its names
+        # under the loading process's hash seed
+        return (LieAlgebra, (self.dim, self.basis_names, self.brackets))
 
     def name(self, i: int) -> str:
         return self.basis_names[i]

@@ -45,6 +45,7 @@ from .sym import MultiIndex, SymElement, sym_mul
 from .zpoly import CoeffLike, PolyZ, zp_accumulate, zp_mul, zp_scale
 
 Word = tuple[int, ...]
+_UNIT = {0: 1}  # the raw coefficient dict of the constant 1
 
 
 class PbwElement:
@@ -310,10 +311,23 @@ def q_z_inv(u: PbwElement) -> SymElement:
 
 
 def star_pbw(x: SymElement, y: SymElement) -> SymElement:
-    """The star product q_z^{-1}(q_z(x) . q_z(y)); the oracle product."""
+    """The star product q_z^{-1}(q_z(x) . q_z(y)); the oracle product.
+
+    A pair of unit monomials (one term each, coefficient exactly 1) is
+    served straight from the memo of monomial products, copied so that the
+    result shares no dict with the memo.
+    """
     if x.algebra != y.algebra:
         raise ValueError("elements live over different algebras")
     ctx = _context(x.algebra)
+    if len(x._terms) == 1 and len(y._terms) == 1:
+        (alpha, ca), = x.items()
+        (beta, cb), = y.items()
+        if ca._c == _UNIT and cb._c == _UNIT:
+            cached = ctx.star_monomials(alpha, beta)
+            return SymElement._raw(
+                x.algebra, {gamma: PolyZ._raw(dict(cg)) for gamma, cg in cached.items()}
+            )
     out: dict[MultiIndex, dict] = {}
     for alpha, ca in x.items():
         for beta, cb in y.items():

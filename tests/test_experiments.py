@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from fractions import Fraction
 
@@ -193,6 +194,38 @@ def test_run_experiment_and_csv(tmp_path, heis):
             (r for r in report.rows if math.isfinite(r.ratio)), key=lambda r: r.ratio
         )
         assert f"worst lhs/rhs {worst.ratio:.6g} at {worst.params}" in text
+
+
+# sha256 over "estimate_id|grid|params|repr(lhs)|repr(rhs)" lines of all ten
+# default sweeps at seed=0, max_degree=4, taken before the sweeps built their
+# inputs once per call and before star_pbw served unit monomials from its memo
+SWEEP_ROWS = 20706
+SWEEP_DIGEST = "90f1973f19c9e5b4ff3731035b21e3507f3a797622b6541f9068ed7cfcd67215"
+
+
+def test_default_sweeps_keep_their_rows():
+    digest = hashlib.sha256()
+    rows = 0
+    for name in ex.EXPERIMENT_NAMES:
+        for report in ex.run_experiment(name, seed=0, max_degree=4):
+            for row in report.rows:
+                line = f"{report.estimate_id}|{report.grid}|{row.params}|{row.lhs!r}|{row.rhs!r}\n"
+                digest.update(line.encode())
+                rows += 1
+    assert rows == SWEEP_ROWS
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("L", [heisenberg(), sl2()])
+def test_monomial_pairs_factor_bound_keeps_order(L):
+    for total, factor in ((8, 4), (6, 2), (5, 5), (4, 0), (3, 7)):
+        expected = [
+            (a, b)
+            for a, b in ex.monomial_pairs(L, total)
+            if sum(a) <= factor and sum(b) <= factor
+        ]
+        assert list(ex.monomial_pairs(L, total, factor)) == expected
+    assert len(list(ex.monomial_pairs(heisenberg(), 8, 4))) == 1225
 
 
 def test_run_experiment_rejects_unknown():

@@ -217,6 +217,39 @@ def test_cli_experiment_no_exp_defaults_pass(tmp_path, capsys):
     assert "no-exp-convergence" in out and "tail:50->100" in out
 
 
+HEIS_FILE = {
+    "dim": 3,
+    "basis": ["P", "Q", "E"],
+    "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cn-estimate", "--max-degree", "-1"], "--max-degree must be nonnegative"),
+        (["hopf-estimate", "--max-degree", "-4"], "--max-degree must be nonnegative"),
+        (["heisenberg-growth", "--kmax", "0"], "needs --kmax >= 2"),
+        (["heisenberg-growth", "--kmax", "1", "--eps", "0.125", "--R", "0.5"], "needs --kmax >= 2"),
+        (["linear-estimate", "--kmax", "-1"], "--kmax must be nonnegative"),
+        (["no-exp", "--Nmax", "-3"], "--Nmax must be nonnegative"),
+        (["weyl-estimate", "--algebra", "{file}"], "weyl-estimate always runs on the Heisenberg"),
+        (["heisenberg-growth", "--algebra", "{file}"], "heisenberg-growth always runs on the Heisenberg"),
+        (["weyl-estimate", "--weight", "2=3"], "--algebra and --weight do not apply"),
+    ],
+)
+def test_cli_experiment_rejects_vacuous_or_ignored_inputs(argv, message, tmp_path, capsys):
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps(HEIS_FILE), encoding="utf-8")
+    out_dir = tmp_path / "reports"
+    argv = [str(path) if arg == "{file}" else arg for arg in argv]
+    assert main(["experiment", *argv, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
 def test_cli_verify_hopf_prints_witness(monkeypatch, capsys):
     from guttstar import cli
     from guttstar.hopf import HopfReport

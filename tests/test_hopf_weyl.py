@@ -12,6 +12,7 @@ from guttstar.hopf import (
     counit,
     is_heisenberg_shaped,
     tensor_pR,
+    tensor_star,
     verify_hopf,
     weyl_lift,
     weyl_mul,
@@ -57,6 +58,33 @@ def test_coproduct_square(heis):
     assert coproduct(SymElement.unit(heis)) == SymTensorElement(
         heis, {(unit, unit): 1}
     )
+
+
+def test_tensor_star_is_the_sum_of_componentwise_products(heis, fil4, rng):
+    """tensor_star against its definition, one SymTensorElement per term pair,
+    on z-dependent tensors."""
+    for L in (heis, fil4):
+        x = random_element(L, rng, 3) + SymElement(
+            L, {(1,) + (0,) * (L.dim - 1): PolyZ.z(coeff=Fraction(-2, 3))}
+        )
+        y = random_element(L, rng, 3)
+        a, b = coproduct(x), coproduct(y)
+        b = b + SymTensorElement(L, {key: PolyZ.z(2) for key, _ in b.items()})
+        expected = SymTensorElement(L)
+        for (a1, a2), ca in a.items():
+            for (b1, b2), cb in b.items():
+                left = star_pbw(SymElement.monomial(L, a1), SymElement.monomial(L, b1))
+                right = star_pbw(SymElement.monomial(L, a2), SymElement.monomial(L, b2))
+                expected = expected + SymTensorElement(
+                    L,
+                    {
+                        (al, ar): cl * cr * ca * cb
+                        for al, cl in left.items()
+                        for ar, cr in right.items()
+                    },
+                )
+        assert tensor_star(a, b) == expected
+        assert tensor_star(coproduct(x), coproduct(y)) == coproduct(star_pbw(x, y))
 
 
 def test_antipode(heis, rng):

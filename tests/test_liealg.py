@@ -1,4 +1,8 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -220,3 +224,30 @@ def test_load_algebra_rejects_jacobi_violation():
     }
     with pytest.raises(ValueError, match="Jacobi"):
         load_algebra(data)
+
+
+def test_equal_algebras_hash_equal_and_share_a_context():
+    from guttstar.pbw import _context
+
+    brackets = {(0, 1): {2: Fraction(1, 2)}}
+    a = make_algebra(3, ("X", "Y", "Z"), brackets)
+    b = make_algebra(3, ("X", "Y", "Z"), brackets)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert _context(a) is _context(b)
+    c = make_algebra(3, ("X", "Y", "Z"), {(0, 1): {2: 1}})
+    assert a != c and _context(a) is not _context(c)
+
+
+def test_unpickled_algebra_hashes_under_the_loading_process_seed():
+    """The stored hash covers the basis names, whose str hashes change with
+    PYTHONHASHSEED; a copy pickled in another process must not carry it."""
+    dump = (
+        "import pickle, sys; from guttstar.liealg import heisenberg; "
+        "sys.stdout.buffer.write(pickle.dumps(heisenberg()))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345"}
+    data = subprocess.run(
+        [sys.executable, "-c", dump], env=env, capture_output=True, check=True
+    ).stdout
+    loaded = pickle.loads(data)
+    assert loaded == heisenberg() and hash(loaded) == hash(heisenberg())

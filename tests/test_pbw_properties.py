@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from guttstar.liealg import bracket, make_algebra, validate
+from guttstar.liealg import bracket, make_algebra, sl2, validate
 from guttstar.pbw import _context, pbw_mul, q_z, q_z_inv, star_graded, star_pbw
 from guttstar.sym import SymElement
 from guttstar.zpoly import PolyZ
@@ -132,3 +132,35 @@ def test_q_z_matches_permutation_sum(case):
     assert dict(q_z(SymElement.monomial(L, alpha)).items()) == {
         w: c for w, c in terms.items() if c
     }
+
+
+@st.composite
+def unit_monomial_pairs(draw):
+    L = draw(st.one_of(algebras, st.just(sl2())))
+    index = st.tuples(*[st.integers(0, 2)] * L.dim).filter(lambda a: sum(a) <= 3)
+    c = draw(nonzero_rationals.filter(lambda v: v != 1))
+    return L, draw(index), draw(index), c
+
+
+def _snapshot(cache):
+    return {key: {g: dict(cg) for g, cg in v.items()} for key, v in cache.items()}
+
+
+@given(case=unit_monomial_pairs())
+@settings(deadline=None)
+def test_unit_monomial_products_are_served_from_the_memo_unshared(case):
+    """Unit monomials take the memo fast path; a coefficient c != 1 takes the
+    general path, and both agree.  The result shares no dict with the memo,
+    so using it leaves the memo as it was."""
+    L, alpha, beta, c = case
+    x, y = SymElement.monomial(L, alpha), SymElement.monomial(L, beta)
+    product = star_pbw(x, y)
+    assert product == star_pbw(x.scale(c), y).scale(1 / c)
+    assert star_pbw(x, y) == product
+    cache = _context(L).star_cache
+    cached = cache[(alpha, beta)]
+    assert all(coeff._c is not cached[gamma] for gamma, coeff in product.items())
+    before = _snapshot(cache)
+    used = (product + product.scale(c)).evaluate_z(c) + product.evaluate_z(c)
+    assert used == product.scale(1 + c).evaluate_z(c) + product.evaluate_z(c)
+    assert _snapshot(cache) == before
