@@ -10,10 +10,17 @@ On top of that sit the bidegree components BCH_{a,b}, their polarization, the
 Bernoulli-number formula for products with a linear factor, the composition
 formula for the z^n coefficients C_n of the star product, and the kernel
 identities used to prove the equivalence of the product constructions.
+
+The BCH route runs on integer numerators, with ``Fraction`` only at the
+boundary: each vector is scaled by the lcm of its denominators, each word
+weight g_w/n is an integer over one denominator per degree, partial products
+and leaf weights are ints, and every output coefficient is one ``Fraction``.
+Rational structure constants take the same path as ``Fraction`` numerators.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +29,7 @@ from typing import Optional, Sequence, Union
 from .liealg import LieAlgebra, Vector, _bracket, as_vector, basis_vector, nilpotency_index
 from .pbw import star_pbw
 from .sym import SymElement, exp_truncated, sym_mul
-from .zpoly import PolyZ
+from .zpoly import PolyZ, zp_accumulate, zp_mul
 
 MAX_TRUNCATION = 12
 DEFAULT_TRUNCATION = 8
@@ -108,32 +115,72 @@ def log_expansion(truncation: int) -> FreeSeries:
     return _log_expansion_impl(truncation)
 
 
-def _series_for(n: int) -> FreeSeries:
-    """A cached expansion covering degree n; buckets keep the cache small."""
+def _bucket(n: int) -> int:
+    """The truncation whose cached expansion covers degree n; a few buckets
+    keep the caches small."""
     if n > MAX_TRUNCATION:
         raise ValueError(f"degree {n} above the supported truncation {MAX_TRUNCATION}")
     for bucket in (DEFAULT_TRUNCATION, 10, MAX_TRUNCATION):
         if n <= bucket:
-            return log_expansion(bucket)
+            return bucket
     raise AssertionError("unreachable")
 
 
+def _series_for(n: int) -> FreeSeries:
+    """A cached expansion covering degree n."""
+    return log_expansion(_bucket(n))
+
+
 def _log_expansion_impl(truncation: int) -> FreeSeries:
-    # E = e^X e^Y - 1 has coefficient 1/(a! b!) on the word X^a Y^b.
-    e_terms = {}
-    for a in range(truncation + 1):
-        for b in range(truncation + 1 - a):
-            if a + b >= 1:
-                e_terms["X" * a + "Y" * b] = Fraction(
-                    1, math.factorial(a) * math.factorial(b)
-                )
-    E = FreeSeries(truncation, e_terms)
-    log = FreeSeries(truncation)
-    power = FreeSeries(truncation, {"": 1})
+    """log(e^X e^Y) = sum_m (-1)^(m+1)/m E^m with E = e^X e^Y - 1, on ints.
+
+    In the scaled form S(w) = |w|! coeff(w), E is C(a+b, a) on X^a Y^b and a
+    product picks up S(uv) = C(|uv|, |u|) S(u) S(v), so every power E^m is an
+    integer series; the sum over m runs over M = lcm(1..truncation), and each
+    word's coefficient is one Fraction(sum, M |w|!).
+    """
+    e_terms = [
+        ("X" * a + "Y" * (n - a), math.comb(n, a))
+        for n in range(1, truncation + 1)
+        for a in range(n + 1)
+    ]
+    M = math.lcm(*range(1, truncation + 1))
+    power = {"": 1}
+    total: dict[str, int] = {}
     for m in range(1, truncation + 1):
-        power = power.mul(E)
-        log = log.add_scaled(power, Fraction((-1) ** (m + 1), m))
-    return log
+        nxt: dict[str, int] = {}
+        for u, cu in power.items():
+            lu = len(u)
+            for v, cv in e_terms:
+                n = lu + len(v)
+                if n > truncation:
+                    break
+                w = u + v
+                nxt[w] = nxt.get(w, 0) + math.comb(n, lu) * cu * cv
+        power = nxt
+        scale = M // m if m % 2 else -(M // m)
+        for w, c in power.items():
+            total[w] = total.get(w, 0) + scale * c
+    return FreeSeries(
+        truncation,
+        {w: Fraction(c, M * math.factorial(len(w))) for w, c in total.items() if c},
+    )
+
+
+@lru_cache(maxsize=None)
+def _goldberg_weights(truncation: int) -> tuple[dict[str, int], tuple[int, ...]]:
+    """The weights g_w/|w| of log_expansion(truncation) as integer numerators
+    over one denominator G_n per word length n: ({word: numerator}, G)."""
+    by_length: list[dict[str, Fraction]] = [{} for _ in range(truncation + 1)]
+    for w, g in log_expansion(truncation).terms.items():
+        by_length[len(w)][w] = g / len(w)
+    dens = tuple(math.lcm(*(q.denominator for q in d.values())) for d in by_length)
+    numerators = {
+        w: q.numerator * (dens[n] // q.denominator)
+        for n, d in enumerate(by_length)
+        for w, q in d.items()
+    }
+    return numerators, dens
 
 
 def goldberg_coefficient(word: str, truncation: Optional[int] = None) -> Fraction:
@@ -191,31 +238,47 @@ def dynkin_bracket(L: LieAlgebra, word: str, xi: Sequence, eta: Sequence) -> Vec
     val = xi if word[0] == "X" else eta
     for ch in word[1:]:
         val = _bracket(L, val, xi if ch == "X" else eta)
-    return val
+    return as_vector(L, val)
+
+
+def _integral(v: Vector) -> tuple[int, tuple[int, ...]]:
+    """(D, D v) with D the lcm of the denominators of v, so D v is integral."""
+    d = math.lcm(*(c.denominator for c in v))
+    return d, tuple(c.numerator * (d // c.denominator) for c in v)
 
 
 def _bch_components(
-    L: LieAlgebra, k: int, l: int, xi: Vector, eta: Vector
-) -> dict[tuple[int, int], Vector]:
-    """Every nonzero BCH_{a,b}(xi, eta) with a <= k and b <= l, keyed (a, b).
+    L: LieAlgebra, k: int, l: int, xi: Vector, eta: Vector, top: Optional[int] = None
+) -> dict[tuple[int, int], tuple[tuple[Scalar, ...], int]]:
+    """Every nonzero BCH_{a,b}(xi, eta) with a <= k, b <= l and a + b <= top
+    (default k + l), keyed (a, b), as a pair (v, d) with BCH_{a,b} = v / d.
 
     One depth-first walk over the words with at most k X's and at most l Y's:
     a word's left-nested bracket is its prefix's bracket with one more letter,
     so each word costs one bracket, and a prefix whose bracket vanishes prunes
     every word that extends it (all words past XX or YY, and all words longer
-    than the nilpotency index of a nilpotent algebra).  Inputs are trusted.
+    than the nilpotency index of a nilpotent algebra).  The walk brackets the
+    integral vectors D_xi xi and D_eta eta and weights each word by the
+    integer numerator of g_w/n over G_n, so d = G_{a+b} D_xi^a D_eta^b.
+    Inputs are trusted.
     """
-    goldberg = _series_for(max(k + l, 1)).terms
-    sums: dict[tuple[int, int], list[Fraction]] = {}
+    top = k + l if top is None else top
+    weights, dens = _goldberg_weights(_bucket(top))
+    d_xi, xi = _integral(xi)
+    d_eta, eta = _integral(eta)
+    sums: dict[tuple[int, int], list[Scalar]] = {}
 
-    def walk(word: str, a: int, b: int, val: Vector) -> None:
-        g = goldberg.get(word)
+    def walk(word: str, a: int, b: int, val: tuple) -> None:
+        g = weights.get(word)
         if g:
-            total = sums.setdefault((a, b), [Fraction(0)] * L.dim)
-            scale = g / (a + b)
+            total = sums.get((a, b))
+            if total is None:
+                total = sums[(a, b)] = [0] * L.dim
             for i, c in enumerate(val):
                 if c:
-                    total[i] += scale * c
+                    total[i] += g * c
+        if a + b == top:
+            return
         if a < k:
             nxt = _bracket(L, val, xi)
             if any(nxt):
@@ -229,7 +292,11 @@ def _bch_components(
         walk("X", 1, 0, xi)
     if l and any(eta):
         walk("Y", 0, 1, eta)
-    return {ab: tuple(total) for ab, total in sums.items() if any(total)}
+    return {
+        (a, b): (tuple(total), dens[a + b] * d_xi**a * d_eta**b)
+        for (a, b), total in sums.items()
+        if any(total)
+    }
 
 
 def bch_ab(L: LieAlgebra, a: int, b: int, xi: Sequence, eta: Sequence) -> Vector:
@@ -243,8 +310,8 @@ def bch_ab(L: LieAlgebra, a: int, b: int, xi: Sequence, eta: Sequence) -> Vector
         raise ValueError("need a, b >= 0 with a + b >= 1")
     xi = as_vector(L, xi)
     eta = as_vector(L, eta)
-    zero = (Fraction(0),) * L.dim
-    return _bch_components(L, a, b, xi, eta).get((a, b), zero)
+    vec, den = _bch_components(L, a, b, xi, eta).get((a, b), ((0,) * L.dim, 1))
+    return tuple(Fraction(c, den) for c in vec)
 
 
 def bch_tilde(
@@ -255,22 +322,25 @@ def bch_tilde(
     a, b = len(xis), len(etas)
     if a + b < 1:
         raise ValueError("need at least one argument")
-    n = a + b
-    if n > MAX_TRUNCATION:
+    if a + b > MAX_TRUNCATION:
         raise ValueError(f"bidegree beyond the supported truncation {MAX_TRUNCATION}")
     xis = tuple(as_vector(L, v) for v in xis)
     etas = tuple(as_vector(L, v) for v in etas)
-    key = (L, xis, etas)
-    cached = _BCH_TILDE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    series = _series_for(n)
+    return _bch_tilde(L, xis, etas)
+
+
+@lru_cache(maxsize=4096)
+def _bch_tilde(L: LieAlgebra, xis: tuple[Vector, ...], etas: tuple[Vector, ...]) -> Vector:
+    """``bch_tilde`` on checked vectors; the memo is bounded, since
+    ``cn_polarized`` asks for the same argument blocks many times over."""
+    a, b = len(xis), len(etas)
+    n = a + b
     total = [Fraction(0)] * L.dim
     norm = Fraction(1, math.factorial(a) * math.factorial(b))
-    for w, g in series.bidegree_slice(a, b).items():
+    for w, g in _series_for(n).bidegree_slice(a, b).items():
         scale = g / n * norm
-        for px in _permutations(xis):
-            for py in _permutations(etas):
+        for px in itertools.permutations(xis):
+            for py in itertools.permutations(etas):
                 ix = iy = 0
                 letters = []
                 for ch in w:
@@ -283,21 +353,10 @@ def bch_tilde(
                 val = letters[0]
                 for v in letters[1:]:
                     val = _bracket(L, val, v)
-                if any(val):
-                    for k, c in enumerate(val):
+                for k, c in enumerate(val):
+                    if c:
                         total[k] += scale * c
-    result = tuple(total)
-    _BCH_TILDE_CACHE[key] = result
-    return result
-
-
-_BCH_TILDE_CACHE: dict = {}
-
-
-def _permutations(items):
-    import itertools
-
-    return itertools.permutations(items) if items else [()]
+    return tuple(total)
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +368,19 @@ def _permutations(items):
 def bernoulli_star(n_max: int) -> tuple[Fraction, ...]:
     """B*_0 .. B*_{n_max}: coefficients of z/(1 - e^{-z}) = sum B*_n/n! z^n.
 
-    The recurrence comes from multiplying both sides with 1 - e^{-z} and
-    comparing z-coefficients.
+    B*_n = (-1)^n B_n, with the first-kind numbers from the recurrence
+    B_n = -1/(n+1) sum_{k<n} C(n+1, k) B_k, and B_n = 0 for odd n > 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    table = [Fraction(1)]
-    for j in range(2, n_max + 2):
-        # coefficient of z^j:  delta_{j,1} = sum_{m=1}^{j} (-1)^{m+1}/m! * B*_{j-m}/(j-m)!
-        acc = Fraction(0)
-        for m in range(2, j + 1):
-            acc += Fraction((-1) ** (m + 1), math.factorial(m)) * table[j - m] / math.factorial(j - m)
-        table.append((Fraction(0) - acc) * math.factorial(j - 1))
-    return tuple(table)
+    first = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        if n > 1 and n % 2:
+            first.append(Fraction(0))
+            continue
+        acc = sum(math.comb(n + 1, k) * first[k] for k in range(n) if first[k])
+        first.append(-acc / (n + 1))
+    return tuple(-b if n % 2 else b for n, b in enumerate(first))
 
 
 def bernoulli_first_kind(n_max: int) -> tuple[Fraction, ...]:
@@ -345,30 +404,30 @@ def star_linear(x: SymElement, eta: Sequence) -> SymElement:
 
     where t runs over ordered j-tuples drawn without replacement from the
     multiset and N(t) is the falling-count multiplicity.  The tails are
-    walked depth first, each ad_t(eta) one bracket from its parent's, and a
-    zero bracket prunes every longer tail through it; each contribution is
-    added straight into one coefficient map.  Extends Q[z]-linearly over the
-    coefficients of x; equals star_pbw(x, eta).
+    walked depth first on the integral vector D_eta eta, each ad_t(eta) one
+    bracket from its parent's, and a zero bracket prunes every longer tail
+    through it; N(t) ad_t(eta) is summed on ints per (gamma, j) and scaled
+    by B*_j / (j! D_eta) once per coefficient term of x.  Extends
+    Q[z]-linearly over the coefficients of x; equals star_pbw(x, eta).
     """
     L = x.algebra
-    eta = as_vector(L, eta)
+    d_eta, eta = _integral(as_vector(L, eta))
     bern = bernoulli_star(max(x.max_degree, 0))
-    basis = [basis_vector(L, i) for i in range(L.dim)]
-    out: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    basis = [tuple(int(k == i) for k in range(L.dim)) for i in range(L.dim)]
+    parts = []
 
     for alpha, coeff in x.items():
-        coeff_terms = list(coeff.items())
+        sums: dict[int, dict[tuple[int, ...], Scalar]] = {}
 
-        def walk(counts: list[int], j: int, val: Vector, mult: int):
+        def walk(counts: list[int], j: int, val: tuple, mult: int):
             if bern[j]:
-                scale = bern[j] * mult / math.factorial(j)
+                slot = sums.setdefault(j, {})
                 for i, v in enumerate(val):
                     if v:
                         counts[i] += 1
-                        poly = out.setdefault(tuple(counts), {})
+                        gamma = tuple(counts)
                         counts[i] -= 1
-                        for e, c in coeff_terms:
-                            poly[e + j] = poly.get(e + j, 0) + c * scale * v
+                        slot[gamma] = slot.get(gamma, 0) + mult * v
             for i in range(L.dim):
                 if counts[i]:
                     nxt = _bracket(L, basis[i], val)
@@ -379,20 +438,40 @@ def star_linear(x: SymElement, eta: Sequence) -> SymElement:
 
         if any(eta):
             walk(list(alpha), 0, eta, 1)
-    return _sym_from_coefficients(L, out)
+        for j, terms in sums.items():
+            b = bern[j]
+            den = b.denominator * math.factorial(j) * d_eta
+            for e, c in coeff.items():
+                parts.append((e + j, c.numerator * b.numerator, c.denominator * den, terms))
+    return _sym_from_parts(L, parts)
 
 
-def _sym_from_coefficients(
-    L: LieAlgebra, coefficients: dict[tuple[int, ...], dict[int, Fraction]]
-) -> SymElement:
-    """The element with these {multi-index: {z-exponent: coefficient}} maps,
-    zeros dropped; the maps hold Fractions and well-formed keys already."""
-    terms = {}
-    for alpha, poly in coefficients.items():
-        poly = {e: c for e, c in poly.items() if c}
-        if poly:
-            terms[alpha] = PolyZ._raw(poly)
-    return SymElement(L, terms)
+def _sym_from_parts(L: LieAlgebra, parts) -> SymElement:
+    """The element sum (num/den) z^e sum_gamma c_gamma xi^gamma over the parts
+    (e, num, den, {gamma: c_gamma}), with int num, den and int (or, for
+    rational structure constants, Fraction) c_gamma.
+
+    Each z-exponent is summed on ints over the lcm of its reduced weight
+    denominators, so every output coefficient is one Fraction.
+    """
+    groups: dict[int, list] = {}
+    for e, num, den, terms in parts:
+        g = math.gcd(num, den)
+        groups.setdefault(e, []).append((num // g, den // g, terms))
+    coefficients: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for e, group in groups.items():
+        common = math.lcm(*(den for _, den, _ in group))
+        acc: dict[tuple[int, ...], Scalar] = {}
+        for num, den, terms in group:
+            f = num * (common // den)
+            for gamma, c in terms.items():
+                acc[gamma] = acc.get(gamma, 0) + f * c
+        for gamma, c in acc.items():
+            if c:
+                coefficients.setdefault(gamma, {})[e] = Fraction(c, common)
+    return SymElement._raw(
+        L, {gamma: PolyZ._raw(poly) for gamma, poly in coefficients.items()}
+    )
 
 
 def nfold_star(L: LieAlgebra, vectors: Sequence[Sequence]) -> SymElement:
@@ -431,16 +510,15 @@ def cn_polarized(
 
     Direct double-permutation sum; intended for small factor counts.
     """
-    import itertools
-
     xs = [as_vector(L, v) for v in xs]
     ys = [as_vector(L, v) for v in ys]
     k, l = len(xs), len(ys)
+    unit = {(0,) * L.dim: Fraction(1)}
     if n == 0:
-        out = SymElement.unit(L)
+        out = unit
         for v in xs + ys:
-            out = sym_mul(out, SymElement.from_vector(L, v))
-        return out
+            out = _times_vector(out, _sparse(v))
+        return _sym_from_parts(L, [(0, 1, 1, out)])
     if n >= k + l:
         return SymElement.zero(L)
     r = k + l - n
@@ -451,11 +529,11 @@ def cn_polarized(
         for bb in _compositions(l, r)
         if all(a + b >= 1 for a, b in zip(aa, bb))
     ]
-    total = SymElement.zero(L)
+    total: dict[tuple[int, ...], Fraction] = {}
     for sigma in itertools.permutations(range(k)):
         for tau in itertools.permutations(range(l)):
             for aa, bb in compositions:
-                term = SymElement.unit(L)
+                term = unit
                 ix = iy = 0
                 for a, b in zip(aa, bb):
                     vec = bch_tilde(
@@ -465,13 +543,12 @@ def cn_polarized(
                     )
                     ix += a
                     iy += b
-                    if not any(vec):
-                        term = SymElement.zero(L)
+                    term = _times_vector(term, _sparse(vec))
+                    if not term:
                         break
-                    term = sym_mul(term, SymElement.from_vector(L, vec))
-                if term:
-                    total = total + term
-    return total.scale(Fraction(1, math.factorial(r)))
+                for gamma, c in term.items():
+                    total[gamma] = total.get(gamma, 0) + c
+    return _sym_from_parts(L, [(0, 1, math.factorial(r), total)])
 
 
 def _compositions(total: int, parts: int):
@@ -503,54 +580,55 @@ def star_bch(L: LieAlgebra, xi: Sequence, k: int, eta: Sequence, l: int) -> SymE
     """xi^k * eta^l assembled as sum_n z^n C_n from the composition formula.
 
     One prefix walk over the words (``_bch_components``) gives every nonzero
-    V_{a,b} = BCH_{a,b}(xi, eta) with a <= k and b <= l, bracketing each
-    left-nested prefix once and pruning at zero brackets.  One backtracking
-    pass over the multiplicities m_{a,b} with sum m_{a,b} (a, b) = (k, l) then
-    covers every n at once: k! l! prod V_{a,b}^{m_{a,b}} / m_{a,b}! lands in
-    the z^(k+l-r) coefficient, r = sum m_{a,b}.  The vectors are z-constant,
-    so partial products are {multi-index: Fraction} maps and the factorial
-    weight rides along as one scalar."""
+    V_{a,b} = BCH_{a,b}(xi, eta) = v_{a,b} / d_{a,b} with a <= k and b <= l,
+    bracketing each left-nested prefix once and pruning at zero brackets.
+    One backtracking pass over the multiplicities m_{a,b} with
+    sum m_{a,b} (a, b) = (k, l) then covers every n at once:
+    k! l! prod V_{a,b}^{m_{a,b}} / m_{a,b}! lands in the z^(k+l-r)
+    coefficient, r = sum m_{a,b}.  The vectors are z-constant, so partial
+    products are {multi-index: int} maps of the v_{a,b}, and each leaf
+    carries its weight k! l! / prod(m_{a,b}! d_{a,b}^m_{a,b}) as an int
+    pair."""
     xi = as_vector(L, xi)
     eta = as_vector(L, eta)
     if k + l == 0:
         return SymElement.unit(L)
     pairs = [
-        (a, b, [(i, c) for i, c in enumerate(vec) if c])
-        for (a, b), vec in sorted(_bch_components(L, k, l, xi, eta).items())
+        (a, b, den, _sparse(vec))
+        for (a, b), (vec, den) in sorted(_bch_components(L, k, l, xi, eta).items())
     ]
-    out: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    num = math.factorial(k) * math.factorial(l)
+    parts = []
 
-    def backtrack(
-        idx: int, a_left: int, b_left: int, used: int, partial: dict, weight: Fraction
-    ):
+    def backtrack(idx: int, a_left: int, b_left: int, used: int, partial: dict, den: int):
         if a_left == 0 and b_left == 0:
-            e = k + l - used
-            for alpha, c in partial.items():
-                poly = out.setdefault(alpha, {})
-                poly[e] = poly.get(e, 0) + c * weight
+            parts.append((k + l - used, num, den, partial))
             return
         if idx == len(pairs):
             return
-        a, b, vec = pairs[idx]
-        m_max = min(left // d for left, d in ((a_left, a), (b_left, b)) if d)
+        a, b, d, vec = pairs[idx]
+        m_max = min(left // deg for left, deg in ((a_left, a), (b_left, b)) if deg)
         for m in range(m_max + 1):
             if m:
                 partial = _times_vector(partial, vec)
                 if not partial:
                     return
-                weight = weight / m
-            backtrack(idx + 1, a_left - m * a, b_left - m * b, used + m, partial, weight)
+                den *= m * d
+            backtrack(idx + 1, a_left - m * a, b_left - m * b, used + m, partial, den)
 
-    unit = {(0,) * L.dim: Fraction(1)}
-    backtrack(0, k, l, 0, unit, Fraction(math.factorial(k) * math.factorial(l)))
-    return _sym_from_coefficients(L, out)
+    backtrack(0, k, l, 0, {(0,) * L.dim: 1}, 1)
+    return _sym_from_parts(L, parts)
+
+
+def _sparse(vec: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
+    return [(i, c) for i, c in enumerate(vec) if c]
 
 
 def _times_vector(
-    p: dict[tuple[int, ...], Fraction], vec: list[tuple[int, Fraction]]
-) -> dict[tuple[int, ...], Fraction]:
+    p: dict[tuple[int, ...], Scalar], vec: list[tuple[int, Scalar]]
+) -> dict[tuple[int, ...], Scalar]:
     """Sym product of a z-constant coefficient map with a sparse vector."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     for alpha, c in p.items():
         for i, v in vec:
             key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
@@ -563,38 +641,37 @@ def star_bch_elements(x: SymElement, y: SymElement) -> SymElement:
 
     Pure powers of a single basis letter go through the composition formula;
     mixed monomials go through the polarized route, so this is intended for
-    small degrees (the CLI --method bch path).
+    small degrees (the CLI --method bch path).  The products are summed into
+    one coefficient map.
     """
     if x.algebra != y.algebra:
         raise ValueError("elements live over different algebras")
     if not (x.is_z_constant and y.is_z_constant):
         raise ValueError("the BCH route needs z-constant inputs")
     L = x.algebra
-    out = SymElement.zero(L)
+    out: dict[tuple[int, ...], dict] = {}
     for alpha, ca in x.items():
         for beta, cb in y.items():
-            c = ca * cb
-            if c.is_zero:
-                continue
-            out = out + _star_bch_monomials(L, alpha, beta).scale(c)
-    return out
+            c = zp_mul(ca, cb)
+            for gamma, cg in _star_bch_monomials(L, alpha, beta).items():
+                zp_accumulate(out, gamma, c, cg)
+    return SymElement._raw(L, {gamma: PolyZ._raw(cg) for gamma, cg in out.items()})
 
 
 def _star_bch_monomials(L: LieAlgebra, alpha, beta) -> SymElement:
-    xs = _letters(L, alpha)
-    ys = _letters(L, beta)
     a_support = [i for i, a in enumerate(alpha) if a]
     b_support = [i for i, b in enumerate(beta) if b]
     if len(a_support) <= 1 and len(b_support) <= 1:
         xi = basis_vector(L, a_support[0]) if a_support else basis_vector(L, 0)
         eta = basis_vector(L, b_support[0]) if b_support else basis_vector(L, 0)
         return star_bch(L, xi, sum(alpha), eta, sum(beta))
-    out = SymElement.zero(L)
+    xs = _letters(L, alpha)
+    ys = _letters(L, beta)
+    out: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for n in range(0, max(sum(alpha) + sum(beta), 1)):
-        part = cn_polarized(L, xs, ys, n)
-        if part:
-            out = out + part.scale(PolyZ.z(power=n))
-    return out
+        for gamma, c in cn_polarized(L, xs, ys, n).items():
+            out.setdefault(gamma, {})[n] = c.constant_value()
+    return SymElement._raw(L, {gamma: PolyZ._raw(poly) for gamma, poly in out.items()})
 
 
 def _letters(L: LieAlgebra, alpha) -> list[Vector]:
@@ -656,24 +733,29 @@ def carlitz_check(k: int, m: int) -> Fraction:
 
 def bch_element(L: LieAlgebra, xi: Sequence, eta: Sequence, z0: Scalar) -> Vector:
     """(1/z) BCH(z xi, z eta) = sum z^{a+b-1} BCH_{a,b}(xi, eta), finite for
-    nilpotent algebras."""
+    nilpotent algebras.
+
+    One prefix walk to the nilpotency index gives the components v/d; with
+    z0 = p/q, each adds p^(n-1) v / (q^(n-1) d), n = a + b, summed on ints
+    over one common denominator."""
     idx = nilpotency_index(L)
     if idx is None:
         raise ValueError("BCH element only terminates for nilpotent algebras")
     z0 = Fraction(z0)
     xi = as_vector(L, xi)
     eta = as_vector(L, eta)
-    total = [Fraction(0)] * L.dim
-    for a in range(idx + 1):
-        for b in range(idx + 1 - a):
-            if a + b < 1:
-                continue
-            vec = bch_ab(L, a, b, xi, eta)
-            if any(vec):
-                w = z0 ** (a + b - 1)
-                for i, c in enumerate(vec):
-                    total[i] += w * c
-    return tuple(total)
+    p, q = z0.numerator, z0.denominator
+    terms = [
+        (vec, p ** (a + b - 1), q ** (a + b - 1) * den)
+        for (a, b), (vec, den) in _bch_components(L, idx, idx, xi, eta, idx).items()
+    ]
+    common = math.lcm(*(den for _, _, den in terms))
+    total = [0] * L.dim
+    for vec, num, den in terms:
+        f = num * (common // den)
+        for i, c in enumerate(vec):
+            total[i] += f * c
+    return tuple(Fraction(c, common) for c in total)
 
 
 def exp_product_check(

@@ -27,6 +27,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
 BracketRow = tuple[tuple[int, Fraction], ...]
 
@@ -71,18 +72,21 @@ class LieAlgebra:
         """[e_i, e_j] as a sparse coefficient map (antisymmetry applied)."""
         if i == j:
             return {}
-        table = _bracket_table(self)
-        if i < j:
-            return dict(table.get((i, j), {}))
-        return {k: -c for k, c in table.get((j, i), {}).items()}
+        row = _bracket_table(self).get((min(i, j), max(i, j)), ())
+        sign = 1 if i < j else -1
+        return {k: Fraction(sign * c) for k, c in row}
 
     def __str__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, basis={','.join(self.basis_names)})"
 
 
 @lru_cache(maxsize=None)
-def _bracket_table(L: LieAlgebra) -> dict[tuple[int, int], dict[int, Fraction]]:
-    return {(i, j): dict(row) for i, j, row in L.brackets}
+def _bracket_table(L: LieAlgebra) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
+    """The rows of L.brackets, each integral constant as an ``int``."""
+    return {
+        (i, j): tuple((k, c.numerator if c.denominator == 1 else c) for k, c in row)
+        for i, j, row in L.brackets
+    }
 
 
 def make_algebra(
@@ -144,16 +148,20 @@ def basis_vector(L: LieAlgebra, i: int) -> Vector:
 
 def bracket(L: LieAlgebra, v: Sequence, w: Sequence) -> Vector:
     """[v, w] via the structure constants; bilinear and antisymmetric."""
-    return _bracket(L, as_vector(L, v), as_vector(L, w))
+    return as_vector(L, _bracket(L, as_vector(L, v), as_vector(L, w)))
 
 
-def _bracket(L: LieAlgebra, v: Vector, w: Vector) -> Vector:
-    """``bracket`` on vectors that ``as_vector`` has already checked."""
-    out = [Fraction(0)] * L.dim
+def _bracket(L: LieAlgebra, v: Sequence[Scalar], w: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """[v, w] on checked vectors of ``int`` or ``Fraction`` components.
+
+    Integral structure constants are ``int``, so ``int`` vectors stay on
+    ``int``; a component no term reaches is the ``int`` 0.
+    """
+    out = [0] * L.dim
     for (i, j), row in _bracket_table(L).items():
         a = v[i] * w[j] - v[j] * w[i]
         if a:
-            for k, c in row.items():
+            for k, c in row:
                 out[k] += a * c
     return tuple(out)
 

@@ -5,6 +5,7 @@ import pytest
 
 from guttstar.bch import (
     MAX_TRUNCATION,
+    FreeSeries,
     bch_ab,
     bch_element,
     bch_tilde,
@@ -51,6 +52,31 @@ def test_log_expansion_low_degrees():
     assert series.coefficient("XYX") == Fraction(-1, 6)
 
 
+def _log_expansion_by_powers(truncation):
+    """log(1 + E) = sum_m (-1)^(m+1) E^m / m with E = e^X e^Y - 1, summed
+    power by power on FreeSeries."""
+    e_terms = {
+        "X" * a + "Y" * b: Fraction(1, math.factorial(a) * math.factorial(b))
+        for a in range(truncation + 1)
+        for b in range(truncation + 1 - a)
+        if a + b >= 1
+    }
+    E = FreeSeries(truncation, e_terms)
+    log = FreeSeries(truncation)
+    power = FreeSeries(truncation, {"": 1})
+    for m in range(1, truncation + 1):
+        power = power.mul(E)
+        log = log.add_scaled(power, Fraction((-1) ** (m + 1), m))
+    return log
+
+
+def test_log_expansion_matches_power_series():
+    for n in range(1, 11):
+        series = log_expansion(n)
+        assert series == _log_expansion_by_powers(n), n
+        assert all(type(c) is Fraction for c in series.terms.values())
+
+
 def test_goldberg_coefficient_api():
     assert goldberg_coefficient("X") == 1
     assert goldberg_coefficient("XY") == Fraction(1, 2)
@@ -85,6 +111,25 @@ def test_dynkin_bracket(heis):
     assert dynkin_bracket(heis, "XX", P, Q) == (0, 0, 0)
     assert dynkin_bracket(heis, "XYX", P, Q) == (0, 0, 0)
     assert dynkin_bracket(heis, "X", P, Q) == P
+
+
+def test_public_vectors_have_fraction_components(heis, sl2_algebra):
+    """The walk runs on ints; every vector handed back is Fraction-valued,
+    zeros included."""
+    P, Q = (1, 0, 0), (0, 1, 0)
+    for L in (heis, sl2_algebra):
+        results = [
+            bracket(L, P, Q),
+            bracket(L, P, P),
+            dynkin_bracket(L, "XY", P, Q),
+            dynkin_bracket(L, "XXY", P, Q),
+            bch_ab(L, 1, 1, P, Q),
+            bch_ab(L, 2, 0, P, Q),
+            bch_ab(L, 2, 1, (0, 0, 0), Q),
+        ]
+        for vec in results:
+            assert all(type(c) is Fraction for c in vec), vec
+    assert all(type(c) is Fraction for c in bch_element(heis, P, Q, Fraction(2, 3)))
 
 
 def test_bch_ab(heis, sl2_algebra, rng):

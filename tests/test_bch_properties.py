@@ -70,6 +70,41 @@ def test_star_bch_matches_star_pbw(case):
     assert star_bch(L, xi, k, eta, l) == star_pbw(x, y)
 
 
+# sl2 on the basis (H/3, E, F/2): every structure constant is non-integral
+RATIONAL_SL2 = make_algebra(
+    3,
+    ("H", "E", "F"),
+    {(0, 1): {1: Fraction(2, 3)}, (0, 2): {2: Fraction(-2, 3)}, (1, 2): {0: Fraction(3, 2)}},
+)
+coprime_components = st.sampled_from(
+    [0, Fraction(1, 7), Fraction(5, 9), Fraction(-3, 7), Fraction(-2, 9), 1]
+)
+
+
+@st.composite
+def coprime_power_pairs(draw):
+    """(L, xi, k, eta, l) with k + l <= 5 and components over 7 and 9, so the
+    two vectors' common denominators are coprime; zero vectors included."""
+    L = draw(st.one_of(st.just(RATIONAL_SL2), algebras))
+    k = draw(st.integers(0, 5))
+    l = draw(st.integers(0, 5 - k))
+    vector = st.tuples(*[coprime_components] * L.dim)
+    return L, draw(vector), k, draw(vector), l
+
+
+@given(case=coprime_power_pairs())
+@example(case=(RATIONAL_SL2, (Fraction(1, 7), Fraction(5, 9), 0), 3, (0, Fraction(5, 9), Fraction(-3, 7)), 2))
+@example(case=(RATIONAL_SL2, (0, 0, 0), 2, (Fraction(1, 7), 0, Fraction(5, 9)), 2))
+@example(case=(sl2(), (Fraction(1, 7), 0, 1), 2, (0, 0, 0), 3))
+@settings(deadline=None)
+def test_bch_route_on_coprime_denominators(case):
+    L, xi, k, eta, l = case
+    x = SymElement.from_vector(L, xi) ** k
+    y = SymElement.from_vector(L, eta) ** l
+    assert star_bch(L, xi, k, eta, l) == star_pbw(x, y)
+    assert star_linear(x, eta) == star_pbw(x, SymElement.from_vector(L, eta))
+
+
 @st.composite
 def elements_and_vectors(draw):
     """A random element of degree <= 4 with z-dependent coefficients, and a vector."""
@@ -111,7 +146,7 @@ def test_bch_ab_matches_definitional_sum(case):
 
 def test_bernoulli_star_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    table = bernoulli_star(30)
-    for n in range(31):
+    table = bernoulli_star(120)
+    for n in range(121):
         value = sympy.bernoulli(n)
         assert table[n] == Fraction(int(value.p), int(value.q)), n

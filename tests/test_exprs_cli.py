@@ -121,7 +121,7 @@ def test_cli_verify_suites(capsys):
         assert "FAIL" not in out and "pass" in out
 
 
-def test_cli_verify_nilpotent_fails_on_sl2(tmp_path, capsys):
+def test_cli_verify_nilpotent_skips_on_sl2(tmp_path, capsys):
     path = tmp_path / "sl2.json"
     path.write_text(
         json.dumps(
@@ -137,8 +137,11 @@ def test_cli_verify_nilpotent_fails_on_sl2(tmp_path, capsys):
         ),
         encoding="utf-8",
     )
-    assert main(["verify", "nilpotent", "--algebra", str(path)]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert main(["verify", "nilpotent", "--algebra", str(path)]) == 0
+    assert capsys.readouterr().out == "[nilpotent]\n  skip  algebra is not nilpotent\n"
+    assert main(["verify", "all", "--max-degree", "3", "--algebra", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "skip  algebra is not nilpotent" in out
 
 
 def test_cli_algebra_file_and_experiment(tmp_path, capsys):
