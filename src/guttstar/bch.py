@@ -11,6 +11,15 @@ Bernoulli-number formula for products with a linear factor, the composition
 formula for the z^n coefficients C_n of the star product, and the kernel
 identities used to prove the equivalence of the product constructions.
 
+The composition formula gives the power products xi^k * eta^l (``star_bch``),
+and it is the one BCH route for every product: by polarization,
+
+    xi^alpha = (1/k!) sum_{0 != b <= alpha} (-1)^(k-|b|) prod_i C(alpha_i, b_i) (b . e)^k,
+
+with k = |alpha|, every monomial is a signed sum of powers of integer
+vectors, so ``star_bch_elements`` is a weighted sum of power products, and
+``bch_tilde`` polarizes ``bch_ab`` over the subset sums of each block.
+
 The BCH route runs on integer numerators, with ``Fraction`` only at the
 boundary: each vector is scaled by the lcm of its denominators, each word
 weight g_w/n is an integer over one denominator per degree, partial products
@@ -26,10 +35,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .liealg import LieAlgebra, Vector, _bracket, as_vector, basis_vector, nilpotency_index
+from .liealg import LieAlgebra, Vector, _bracket, as_vector, nilpotency_index
 from .pbw import star_pbw
 from .sym import SymElement, exp_truncated, sym_mul
-from .zpoly import PolyZ, zp_accumulate, zp_mul
+from .zpoly import PolyZ
 
 MAX_TRUNCATION = 12
 DEFAULT_TRUNCATION = 8
@@ -318,45 +327,54 @@ def bch_tilde(
     L: LieAlgebra, xis: Sequence[Sequence], etas: Sequence[Sequence]
 ) -> Vector:
     """Polarization of bch_ab: the multilinear map, symmetric in each block,
-    that collapses to BCH_{a,b}(xi, eta) on equal arguments."""
+    that collapses to BCH_{a,b}(xi, eta) on equal arguments.
+
+    By the polarization identity over the subset sums of each block,
+
+        bch_tilde = (1 / a! b!) sum_{S, T} (-1)^(a-|S|+b-|T|) BCH_{a,b}(x_S, y_T),
+
+    where x_S is the sum of the xis in S and y_T that of the etas in T: one
+    prefix walk (``_bch_components``) for each of the 2^a 2^b pairs of
+    subsets, each component an integer vector over one denominator.
+    """
     a, b = len(xis), len(etas)
     if a + b < 1:
         raise ValueError("need at least one argument")
     if a + b > MAX_TRUNCATION:
         raise ValueError(f"bidegree beyond the supported truncation {MAX_TRUNCATION}")
-    xis = tuple(as_vector(L, v) for v in xis)
-    etas = tuple(as_vector(L, v) for v in etas)
-    return _bch_tilde(L, xis, etas)
+    norm = math.factorial(a) * math.factorial(b)
+    terms = []
+    y_sums = _subset_sums(L, etas)
+    for sign_x, x in _subset_sums(L, xis):
+        for sign_y, y in y_sums:
+            component = _bch_components(L, a, b, x, y).get((a, b))
+            if component:
+                vec, den = component
+                terms.append((sign_x * sign_y, norm * den, vec))
+    return _vector_sum(L, terms)
 
 
-@lru_cache(maxsize=4096)
-def _bch_tilde(L: LieAlgebra, xis: tuple[Vector, ...], etas: tuple[Vector, ...]) -> Vector:
-    """``bch_tilde`` on checked vectors; the memo is bounded, since
-    ``cn_polarized`` asks for the same argument blocks many times over."""
-    a, b = len(xis), len(etas)
-    n = a + b
-    total = [Fraction(0)] * L.dim
-    norm = Fraction(1, math.factorial(a) * math.factorial(b))
-    for w, g in _series_for(n).bidegree_slice(a, b).items():
-        scale = g / n * norm
-        for px in itertools.permutations(xis):
-            for py in itertools.permutations(etas):
-                ix = iy = 0
-                letters = []
-                for ch in w:
-                    if ch == "X":
-                        letters.append(px[ix])
-                        ix += 1
-                    else:
-                        letters.append(py[iy])
-                        iy += 1
-                val = letters[0]
-                for v in letters[1:]:
-                    val = _bracket(L, val, v)
-                for k, c in enumerate(val):
-                    if c:
-                        total[k] += scale * c
-    return tuple(total)
+def _subset_sums(L: LieAlgebra, vectors: Sequence[Sequence]) -> list[tuple[int, Vector]]:
+    """(sign, sum of S) over the subsets S of the vectors, nonempty unless
+    there are none, with sign = (-1)^(len(vectors) - |S|)."""
+    sums = [(0, (Fraction(0),) * L.dim)]  # (|S|, sum of S)
+    for v in vectors:
+        v = as_vector(L, v)
+        sums += [(m + 1, tuple(p + q for p, q in zip(s, v))) for m, s in sums]
+    n = len(vectors)
+    return [((-1) ** (n - m), s) for m, s in sums if m or not n]
+
+
+def _vector_sum(L: LieAlgebra, terms) -> Vector:
+    """sum (num/den) vec over the terms (num, den, vec) with int num, den,
+    summed on ints over the lcm of the denominators."""
+    common = math.lcm(*(den for _, den, _ in terms))
+    total = [0] * L.dim
+    for num, den, vec in terms:
+        f = num * (common // den)
+        for i, c in enumerate(vec):
+            total[i] += f * c
+    return tuple(Fraction(c, common) for c in total)
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +467,27 @@ def star_linear(x: SymElement, eta: Sequence) -> SymElement:
 def _sym_from_parts(L: LieAlgebra, parts) -> SymElement:
     """The element sum (num/den) z^e sum_gamma c_gamma xi^gamma over the parts
     (e, num, den, {gamma: c_gamma}), with int num, den and int (or, for
-    rational structure constants, Fraction) c_gamma.
+    rational structure constants, Fraction) c_gamma; every output
+    coefficient is one Fraction."""
+    coefficients: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for e, _, common, acc in _combine_parts(parts):
+        for gamma, c in acc.items():
+            if c:
+                coefficients.setdefault(gamma, {})[e] = Fraction(c, common)
+    return SymElement._raw(
+        L, {gamma: PolyZ._raw(poly) for gamma, poly in coefficients.items()}
+    )
 
-    Each z-exponent is summed on ints over the lcm of its reduced weight
-    denominators, so every output coefficient is one Fraction.
-    """
+
+def _combine_parts(parts) -> list[tuple[int, int, int, dict]]:
+    """The parts summed per z-exponent: one part (e, 1, common, {gamma: c})
+    per exponent, summed on ints over the lcm of its reduced weight
+    denominators; a coefficient may sum to zero."""
     groups: dict[int, list] = {}
     for e, num, den, terms in parts:
         g = math.gcd(num, den)
         groups.setdefault(e, []).append((num // g, den // g, terms))
-    coefficients: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    out = []
     for e, group in groups.items():
         common = math.lcm(*(den for _, den, _ in group))
         acc: dict[tuple[int, ...], Scalar] = {}
@@ -466,12 +495,8 @@ def _sym_from_parts(L: LieAlgebra, parts) -> SymElement:
             f = num * (common // den)
             for gamma, c in terms.items():
                 acc[gamma] = acc.get(gamma, 0) + f * c
-        for gamma, c in acc.items():
-            if c:
-                coefficients.setdefault(gamma, {})[e] = Fraction(c, common)
-    return SymElement._raw(
-        L, {gamma: PolyZ._raw(poly) for gamma, poly in coefficients.items()}
-    )
+        out.append((e, 1, common, acc))
+    return out
 
 
 def nfold_star(L: LieAlgebra, vectors: Sequence[Sequence]) -> SymElement:
@@ -501,65 +526,6 @@ def cn_monomial(
     if k < 0 or l < 0 or n < 0:
         raise ValueError("degrees must be nonnegative")
     return star_bch(L, xi, k, eta, l).z_coefficient(n)
-
-
-def cn_polarized(
-    L: LieAlgebra, xs: Sequence[Sequence], ys: Sequence[Sequence], n: int
-) -> SymElement:
-    """C_n on products of linear factors via the polarized composition formula.
-
-    Direct double-permutation sum; intended for small factor counts.
-    """
-    xs = [as_vector(L, v) for v in xs]
-    ys = [as_vector(L, v) for v in ys]
-    k, l = len(xs), len(ys)
-    unit = {(0,) * L.dim: Fraction(1)}
-    if n == 0:
-        out = unit
-        for v in xs + ys:
-            out = _times_vector(out, _sparse(v))
-        return _sym_from_parts(L, [(0, 1, 1, out)])
-    if n >= k + l:
-        return SymElement.zero(L)
-    r = k + l - n
-
-    compositions = [
-        (aa, bb)
-        for aa in _compositions(k, r)
-        for bb in _compositions(l, r)
-        if all(a + b >= 1 for a, b in zip(aa, bb))
-    ]
-    total: dict[tuple[int, ...], Fraction] = {}
-    for sigma in itertools.permutations(range(k)):
-        for tau in itertools.permutations(range(l)):
-            for aa, bb in compositions:
-                term = unit
-                ix = iy = 0
-                for a, b in zip(aa, bb):
-                    vec = bch_tilde(
-                        L,
-                        [xs[sigma[t]] for t in range(ix, ix + a)],
-                        [ys[tau[t]] for t in range(iy, iy + b)],
-                    )
-                    ix += a
-                    iy += b
-                    term = _times_vector(term, _sparse(vec))
-                    if not term:
-                        break
-                for gamma, c in term.items():
-                    total[gamma] = total.get(gamma, 0) + c
-    return _sym_from_parts(L, [(0, 1, math.factorial(r), total)])
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def cn_general(x: SymElement, y: SymElement, n: int) -> SymElement:
@@ -593,6 +559,12 @@ def star_bch(L: LieAlgebra, xi: Sequence, k: int, eta: Sequence, l: int) -> SymE
     eta = as_vector(L, eta)
     if k + l == 0:
         return SymElement.unit(L)
+    return _sym_from_parts(L, _star_bch_parts(L, xi, k, eta, l))
+
+
+def _star_bch_parts(L: LieAlgebra, xi: Vector, k: int, eta: Vector, l: int) -> list:
+    """The leaves (e, num, den, {gamma: c}) of ``star_bch`` on trusted
+    vectors (``Fraction`` or ``int`` entries)."""
     pairs = [
         (a, b, den, _sparse(vec))
         for (a, b), (vec, den) in sorted(_bch_components(L, k, l, xi, eta).items())
@@ -617,7 +589,7 @@ def star_bch(L: LieAlgebra, xi: Sequence, k: int, eta: Sequence, l: int) -> SymE
             backtrack(idx + 1, a_left - m * a, b_left - m * b, used + m, partial, den)
 
     backtrack(0, k, l, 0, {(0,) * L.dim: 1}, 1)
-    return _sym_from_parts(L, parts)
+    return parts
 
 
 def _sparse(vec: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
@@ -639,46 +611,63 @@ def _times_vector(
 def star_bch_elements(x: SymElement, y: SymElement) -> SymElement:
     """BCH-route product extended bilinearly to arbitrary z-constant elements.
 
-    Pure powers of a single basis letter go through the composition formula;
-    mixed monomials go through the polarized route, so this is intended for
-    small degrees (the CLI --method bch path).  The products are summed into
-    one coefficient map.
+    Each homogeneous part of x and y polarizes onto powers of integer
+    vectors (``_polarize``), so x * y is a weighted sum of power products
+    (b . e)^k * (c . e)^l, each one ``star_bch`` by the composition formula.
+    The power products are memoized, bounded, per (L, b, k, c, l), so
+    monomial pairs that share a direction share its product; the weighted
+    parts are summed on ints into one element.
     """
     if x.algebra != y.algebra:
         raise ValueError("elements live over different algebras")
     if not (x.is_z_constant and y.is_z_constant):
         raise ValueError("the BCH route needs z-constant inputs")
     L = x.algebra
-    out: dict[tuple[int, ...], dict] = {}
-    for alpha, ca in x.items():
-        for beta, cb in y.items():
-            c = zp_mul(ca, cb)
-            for gamma, cg in _star_bch_monomials(L, alpha, beta).items():
-                zp_accumulate(out, gamma, c, cg)
-    return SymElement._raw(L, {gamma: PolyZ._raw(cg) for gamma, cg in out.items()})
+    y_powers = _polarize(y)
+    parts = []
+    for k, x_dirs in _polarize(x).items():
+        for l, y_dirs in y_powers.items():
+            for b, wb in x_dirs.items():
+                for c, wc in y_dirs.items():
+                    w = wb * wc
+                    for e, num, den, terms in _power_parts(L, b, k, c, l):
+                        parts.append((e, num * w.numerator, den * w.denominator, terms))
+    return _sym_from_parts(L, parts)
 
 
-def _star_bch_monomials(L: LieAlgebra, alpha, beta) -> SymElement:
-    a_support = [i for i, a in enumerate(alpha) if a]
-    b_support = [i for i, b in enumerate(beta) if b]
-    if len(a_support) <= 1 and len(b_support) <= 1:
-        xi = basis_vector(L, a_support[0]) if a_support else basis_vector(L, 0)
-        eta = basis_vector(L, b_support[0]) if b_support else basis_vector(L, 0)
-        return star_bch(L, xi, sum(alpha), eta, sum(beta))
-    xs = _letters(L, alpha)
-    ys = _letters(L, beta)
-    out: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for n in range(0, max(sum(alpha) + sum(beta), 1)):
-        for gamma, c in cn_polarized(L, xs, ys, n).items():
-            out.setdefault(gamma, {})[n] = c.constant_value()
-    return SymElement._raw(L, {gamma: PolyZ._raw(poly) for gamma, poly in out.items()})
+def _polarize(x: SymElement) -> dict[int, dict[tuple[int, ...], Fraction]]:
+    """The z-constant x as sum_k sum_b w_{k,b} (b . e)^k, {k: {b: w_{k,b}}},
+    over primitive nonnegative integer vectors b (b = 0 only for k = 0).
+
+    A monomial of degree k polarizes as
+
+        xi^alpha = (1/k!) sum_{0 != b <= alpha} (-1)^(k-|b|) prod_i C(alpha_i, b_i) (b . e)^k,
+
+    and b = g b' with b' primitive contributes g^k (b' . e)^k.
+    """
+    out: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for alpha, coeff in x.items():
+        k = sum(alpha)
+        c = coeff.constant_value() / math.factorial(k)
+        slot = out.setdefault(k, {})
+        for b in itertools.product(*(range(a + 1) for a in alpha)):
+            g = math.gcd(*b)
+            if k and not g:
+                continue  # (0 . e)^k = 0
+            key = tuple(v // (g or 1) for v in b)
+            w = (-1) ** (k - sum(b)) * g**k * math.prod(map(math.comb, alpha, b))
+            slot[key] = slot.get(key, 0) + c * w
+    return {k: {b: w for b, w in slot.items() if w} for k, slot in out.items()}
 
 
-def _letters(L: LieAlgebra, alpha) -> list[Vector]:
-    out = []
-    for i, a in enumerate(alpha):
-        out.extend([basis_vector(L, i)] * a)
-    return out
+@lru_cache(maxsize=4096)
+def _power_parts(
+    L: LieAlgebra, b: tuple[int, ...], k: int, c: tuple[int, ...], l: int
+) -> tuple[tuple[int, int, int, dict], ...]:
+    """(b . e)^k * (c . e)^l for integer vectors b, c: the parts of
+    ``star_bch``, one per z-exponent.  The memo is bounded; its entries are
+    never mutated."""
+    return tuple(_combine_parts(_star_bch_parts(L, b, k, c, l)))
 
 
 # ---------------------------------------------------------------------------
@@ -745,17 +734,13 @@ def bch_element(L: LieAlgebra, xi: Sequence, eta: Sequence, z0: Scalar) -> Vecto
     xi = as_vector(L, xi)
     eta = as_vector(L, eta)
     p, q = z0.numerator, z0.denominator
-    terms = [
-        (vec, p ** (a + b - 1), q ** (a + b - 1) * den)
-        for (a, b), (vec, den) in _bch_components(L, idx, idx, xi, eta, idx).items()
-    ]
-    common = math.lcm(*(den for _, _, den in terms))
-    total = [0] * L.dim
-    for vec, num, den in terms:
-        f = num * (common // den)
-        for i, c in enumerate(vec):
-            total[i] += f * c
-    return tuple(Fraction(c, common) for c in total)
+    return _vector_sum(
+        L,
+        [
+            (p ** (a + b - 1), q ** (a + b - 1) * den, vec)
+            for (a, b), (vec, den) in _bch_components(L, idx, idx, xi, eta, idx).items()
+        ],
+    )
 
 
 def exp_product_check(

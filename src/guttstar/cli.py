@@ -213,18 +213,15 @@ def _suite_bch(algebra: LieAlgebra, max_degree: int, seed: int):
     yield "|B*_n| <= n! for n <= 30", all(
         abs(b) <= _fact(n) for n, b in enumerate(bern)
     )
-    rng = random.Random(seed)
-    collapse_ok = True
-    for a in range(1, 4):
-        for b in range(0, 4 - a + 1):
-            if a + b < 1:
-                continue
-            xi = exp_mod._random_vector(algebra, rng)
-            eta = exp_mod._random_vector(algebra, rng)
-            tilde = bch_mod.bch_tilde(algebra, [xi] * a, [eta] * b)
-            if tilde != bch_mod.bch_ab(algebra, a, b, xi, eta):
-                collapse_ok = False
-    yield "polarized collapse to bch_ab", collapse_ok
+    degree = min(max_degree, 4)
+    law = f"BCH route equals star_pbw on mixed monomials to degree {degree}"
+    for alpha, beta in exp_mod.monomial_pairs(algebra, degree):
+        x = SymElement.monomial(algebra, alpha)
+        y = SymElement.monomial(algebra, beta)
+        if bch_mod.star_bch_elements(x, y) != star_pbw(x, y):
+            yield law, False, f"{alpha}|{beta}"
+            return
+    yield law, True
 
 
 def _fact(n: int) -> int:

@@ -38,7 +38,7 @@ from .liealg import (
     heisenberg,
     nilpotency_index,
 )
-from .pbw import lift_hom, star_pbw
+from .pbw import _lift_hom, star_pbw
 from .sym import (
     Seminorm,
     SymElement,
@@ -634,8 +634,8 @@ def functoriality_check(
     for i in range(n_samples):
         x = _random_element(src, rng, max_degree=3, terms=2)
         y = _random_element(src, rng, max_degree=3, terms=2)
-        lhs = lift_hom(phi, star_pbw(x, y))
-        rhs = star_pbw(lift_hom(phi, x), lift_hom(phi, y))
+        lhs = _lift_hom(phi, star_pbw(x, y))
+        rhs = star_pbw(_lift_hom(phi, x), _lift_hom(phi, y))
         report.add(f"morphism:{i}", 0.0 if lhs == rhs else 1.0, 0.0)
 
     p = Seminorm.ell1(tgt)

@@ -86,10 +86,6 @@ class PbwElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def max_length(self) -> int:
-        return max((len(w) for w in self._terms), default=-1)
-
     def __add__(self, other: "PbwElement") -> "PbwElement":
         if self.algebra != other.algebra:
             raise ValueError("elements live over different algebras")
@@ -366,16 +362,24 @@ def lift_hom(phi: LieHom, x: SymElement) -> SymElement:
     report = check_hom(phi)
     if not report:
         raise ValueError(f"not a Lie algebra homomorphism: {report}")
+    return _lift_hom(phi, x)
+
+
+def _lift_hom(phi: LieHom, x: SymElement) -> SymElement:
+    """``lift_hom`` for a hom already checked and an element over its source:
+    each monomial's image prod_i phi(e_i)^alpha_i is summed into one raw
+    coefficient map."""
     target = phi.target
     images = [SymElement.from_vector(target, col) for col in phi.matrix]
-    out = SymElement.zero(target)
+    out: dict[MultiIndex, dict] = {}
     for alpha, coeff in x.items():
-        term = SymElement.unit(target, coeff)
+        image = SymElement.unit(target)
         for i, a in enumerate(alpha):
             for _ in range(a):
-                term = sym_mul(term, images[i])
-        out = out + term
-    return out
+                image = sym_mul(image, images[i])
+        for gamma, c in image.items():
+            zp_accumulate(out, gamma, coeff._c, c._c)
+    return _raw_to_sym(target, out)
 
 
 def star(x: SymElement, y: SymElement, method: str = "pbw") -> SymElement:

@@ -1,45 +1,37 @@
 """Property tests of the BCH route against the star_pbw oracle, on random
-valid nilpotent algebras of dimension 3-5 and on sl2."""
+valid nilpotent algebras of dimension 3-5, on sl2 and on rational rescalings
+of sl2."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guttstar.bch import (
     bch_ab,
+    bch_tilde,
     bernoulli_star,
     dynkin_bracket,
     log_expansion,
     star_bch,
+    star_bch_elements,
     star_linear,
 )
-from guttstar.liealg import make_algebra, sl2, validate
+from guttstar.liealg import bracket, make_algebra, sl2
 from guttstar.pbw import star_pbw
 from guttstar.sym import SymElement
 from guttstar.zpoly import PolyZ
 
+from random_inputs import nilpotent_algebras, rescaled_sl2
+
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-structure_constants = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+STRUCTURE_CONSTANTS = [0, 0, 1, -1, 2, Fraction(1, 2)]
 
 
-@st.composite
-def nilpotent_algebras(draw):
-    """Strictly upper-triangular brackets [e_i, e_j] in span(e_k : k > j),
-    kept only when they satisfy the Jacobi identity."""
-    dim = draw(st.integers(3, 5))
-    brackets = {
-        (i, j): {k: draw(structure_constants) for k in range(j + 1, dim)}
-        for i in range(dim)
-        for j in range(i + 1, dim)
-    }
-    L = make_algebra(dim, tuple(f"e{i}" for i in range(dim)), brackets)
-    assume(validate(L))
-    return L
-
-
-algebras = st.one_of(st.just(sl2()), nilpotent_algebras())
+algebras = st.one_of(st.just(sl2()), nilpotent_algebras(STRUCTURE_CONSTANTS))
 
 
 def vectors(L):
@@ -142,6 +134,99 @@ def test_bch_ab_matches_definitional_sum(case):
         for i, c in enumerate(dynkin_bracket(L, word, xi, eta)):
             expected[i] += g / n * c
     assert bch_ab(L, a, b, xi, eta) == tuple(expected)
+
+
+# ---------------------------------------------------------------------------
+# products of monomials and of general elements, by polarization
+# ---------------------------------------------------------------------------
+
+mixed_algebras = st.one_of(algebras, rescaled_sl2())
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(L, alpha, beta) with |alpha| + |beta| <= 6: up to six letters, the
+    first k of them forming alpha."""
+    L = draw(mixed_algebras)
+    letters = draw(st.lists(st.integers(0, L.dim - 1), max_size=6))
+    k = draw(st.integers(0, len(letters)))
+    alpha, beta = [0] * L.dim, [0] * L.dim
+    for t, i in enumerate(letters):
+        (alpha if t < k else beta)[i] += 1
+    return L, tuple(alpha), tuple(beta)
+
+
+@given(case=monomial_pairs())
+@example(case=(sl2(), (1, 1, 1), (0, 2, 1)))
+@example(case=(sl2(), (0, 0, 0), (2, 0, 1)))
+@settings(deadline=None)
+def test_star_bch_elements_matches_star_pbw_on_monomials(case):
+    L, alpha, beta = case
+    x, y = SymElement.monomial(L, alpha), SymElement.monomial(L, beta)
+    assert star_bch_elements(x, y) == star_pbw(x, y)
+
+
+@st.composite
+def z_constant_pairs(draw):
+    """Two z-constant elements with up to three terms of degree <= 3 each."""
+    L = draw(mixed_algebras)
+    multi_indices = st.tuples(*[st.integers(0, 2)] * L.dim).filter(lambda a: sum(a) <= 3)
+    terms = st.dictionaries(multi_indices, rationals, max_size=3)
+    return SymElement(L, draw(terms)), SymElement(L, draw(terms))
+
+
+@given(case=z_constant_pairs())
+@settings(deadline=None)
+def test_star_bch_elements_matches_star_pbw_on_elements(case):
+    x, y = case
+    assert star_bch_elements(x, y) == star_pbw(x, y)
+
+
+def bch_tilde_by_permutations(L, xis, etas):
+    """The definition of bch_tilde: the average over the orderings of each
+    block of sum_w (g_w/n) [w], the letters of w filled in that order."""
+    a, b = len(xis), len(etas)
+    n = a + b
+    scale = Fraction(1, math.factorial(a) * math.factorial(b) * n)
+    total = [Fraction(0)] * L.dim
+    for word, g in log_expansion(n).bidegree_slice(a, b).items():
+        for px in itertools.permutations(xis):
+            for py in itertools.permutations(etas):
+                fill = {"X": iter(px), "Y": iter(py)}
+                letters = [next(fill[ch]) for ch in word]
+                val = letters[0]
+                for v in letters[1:]:
+                    val = bracket(L, val, v)
+                for i, c in enumerate(val):
+                    total[i] += g * scale * c
+    return tuple(total)
+
+
+@st.composite
+def tilde_blocks(draw):
+    """(L, xis, etas) with 1 <= a + b <= 5 and a, b <= 3."""
+    L = draw(mixed_algebras)
+    a = draw(st.integers(0, 3))
+    b = draw(st.integers(0 if a else 1, min(3, 5 - a)))
+    xis = [draw(vectors(L)) for _ in range(a)]
+    etas = [draw(vectors(L)) for _ in range(b)]
+    return L, xis, etas
+
+
+@given(case=tilde_blocks())
+@settings(deadline=None)
+def test_bch_tilde_matches_permutation_definition(case):
+    L, xis, etas = case
+    assert bch_tilde(L, xis, etas) == bch_tilde_by_permutations(L, xis, etas)
+
+
+@given(case=tilde_blocks(), data=st.data())
+@settings(deadline=None)
+def test_bch_tilde_is_symmetric_in_each_block(case, data):
+    L, xis, etas = case
+    xis_perm = data.draw(st.permutations(xis))
+    etas_perm = data.draw(st.permutations(etas))
+    assert bch_tilde(L, xis_perm, etas_perm) == bch_tilde(L, xis, etas)
 
 
 def test_bernoulli_star_matches_sympy():

@@ -270,6 +270,22 @@ def test_cli_verify_hopf_prints_witness(monkeypatch, capsys):
     assert sum("witness" in line for line in lines) == 1
 
 
+def test_cli_verify_bch_prints_witness_of_a_wrong_bch_product(monkeypatch, capsys):
+    from guttstar import bch
+    from guttstar.pbw import star_pbw
+
+    law = "BCH route equals star_pbw on mixed monomials to degree 4"
+    assert main(["verify", "bch"]) == 0
+    assert f"  pass  {law}" in capsys.readouterr().out.splitlines()
+    # the factors swapped: wrong first on Q * P, the first pair that does not commute
+    monkeypatch.setattr(bch, "star_bch_elements", lambda x, y: star_pbw(y, x))
+    assert main(["verify", "bch"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index(f"  FAIL  {law}")
+    assert lines[at + 1] == "        witness: (0, 1, 0)|(1, 0, 0)"
+    assert sum("witness" in line for line in lines) == 1
+
+
 def test_cli_experiment_functorial_and_text_format(tmp_path, capsys):
     code = main(
         ["experiment", "functorial", "--format", "text", "--out", str(tmp_path)]

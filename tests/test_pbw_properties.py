@@ -7,49 +7,22 @@ import itertools
 import math
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guttstar.liealg import bracket, make_algebra, sl2, validate
+from guttstar.liealg import bracket, sl2
 from guttstar.pbw import _context, pbw_mul, q_z, q_z_inv, star_graded, star_pbw
 from guttstar.sym import SymElement
 from guttstar.zpoly import PolyZ
 
+from random_inputs import nilpotent_algebras, rescaled_sl2
+
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 nonzero_rationals = rationals.filter(bool)
-structure_constants = st.sampled_from(
-    [0, 1, -1, Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(1, 7)]
-)
+STRUCTURE_CONSTANTS = [0, 1, -1, Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(1, 7)]
 
 
-@st.composite
-def nilpotent_algebras(draw):
-    """Strictly upper-triangular brackets [e_i, e_j] in span(e_k : k > j)
-    with at least one non-integral constant, kept only when they satisfy
-    the Jacobi identity."""
-    dim = draw(st.integers(3, 5))
-    brackets = {
-        (i, j): {k: draw(structure_constants) for k in range(j + 1, dim)}
-        for i in range(dim)
-        for j in range(i + 1, dim)
-    }
-    assume(any(Fraction(c).denominator > 1 for row in brackets.values() for c in row.values()))
-    L = make_algebra(dim, tuple(f"e{i}" for i in range(dim)), brackets)
-    assume(validate(L))
-    return L
-
-
-@st.composite
-def rescaled_sl2(draw):
-    """sl2 on the basis aH, bE, cF: [H', E'] = 2a E', [H', F'] = -2a F',
-    [E', F'] = (bc/a) H'."""
-    a, b, c = (draw(nonzero_rationals) for _ in range(3))
-    return make_algebra(
-        3, ("H", "E", "F"), {(0, 1): {1: 2 * a}, (0, 2): {2: -2 * a}, (1, 2): {0: b * c / a}}
-    )
-
-
-algebras = st.one_of(nilpotent_algebras(), rescaled_sl2())
+algebras = st.one_of(nilpotent_algebras(STRUCTURE_CONSTANTS, non_integral=True), rescaled_sl2())
 
 
 def elements(L, coefficients, max_degree=3):

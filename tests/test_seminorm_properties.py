@@ -17,7 +17,7 @@ from guttstar.hopf import (
     weyl_pR,
     weyl_project,
 )
-from guttstar.liealg import make_algebra, sl2, validate
+from guttstar.liealg import make_algebra, sl2
 from guttstar.sym import (
     Seminorm,
     SymElement,
@@ -29,32 +29,19 @@ from guttstar.sym import (
 )
 from guttstar.zpoly import PolyZ
 
+from random_inputs import nilpotent_algebras
+
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 nonzero_rationals = rationals.filter(bool)
 positive_rationals = st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7).filter(
     lambda w: w > 0
 )
-structure_constants = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+STRUCTURE_CONSTANTS = [0, 0, 1, -1, 2, Fraction(1, 2)]
 R_values = st.sampled_from([0, 0.5, 1, 1.5, 2])
 scales = st.sampled_from([0.5, 2.0, 3.0, 32.0, 16 * math.e])
 
 
-@st.composite
-def nilpotent_algebras(draw):
-    """Strictly upper-triangular brackets [e_i, e_j] in span(e_k : k > j),
-    kept only when they satisfy the Jacobi identity."""
-    dim = draw(st.integers(3, 5))
-    brackets = {
-        (i, j): {k: draw(structure_constants) for k in range(j + 1, dim)}
-        for i in range(dim)
-        for j in range(i + 1, dim)
-    }
-    L = make_algebra(dim, tuple(f"e{i}" for i in range(dim)), brackets)
-    assume(validate(L))
-    return L
-
-
-algebras = st.one_of(st.just(sl2()), nilpotent_algebras())
+algebras = st.one_of(st.just(sl2()), nilpotent_algebras(STRUCTURE_CONSTANTS))
 
 
 @st.composite
