@@ -30,6 +30,10 @@ from .pbw import star, star_pbw
 from .sym import SymElement, sym_mul
 
 VERIFY_SUITES = ("assoc", "hopf", "appendix", "bch", "nilpotent", "all")
+# total degree limit of `mul` on the pbw and graded routes: at 30 a product of
+# two monomials on a stock algebra ends in about a second (mixed sl2 monomials
+# are the slowest)
+MUL_MAX_DEGREE = 30
 
 
 class UsageError(Exception):
@@ -95,9 +99,13 @@ def cmd_mul(args) -> int:
             z0 = Fraction(args.z)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --z value {args.z!r}") from exc
-    degree, top = x.max_degree + y.max_degree, bch_mod.MAX_TRUNCATION
-    if (args.check or args.method == "bch") and degree > top:
-        raise UsageError(f"the BCH route supports total degree up to {top}, got {degree}")
+    degree = x.max_degree + y.max_degree
+    if args.check or args.method == "bch":
+        route, top = "BCH", bch_mod.MAX_TRUNCATION
+    else:
+        route, top = args.method, MUL_MAX_DEGREE
+    if degree > top:
+        raise UsageError(f"the {route} route supports total degree up to {top}, got {degree}")
     if args.check:
         results = {m: star(x, y, method=m) for m in ("pbw", "graded", "bch")}
         reference = results["pbw"]
@@ -273,6 +281,8 @@ def cmd_verify(args) -> int:
     }
     if args.suite not in VERIFY_SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {VERIFY_SUITES}")
+    if args.max_degree < 0:
+        raise UsageError("--max-degree must be nonnegative")
     names = list(suites) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:

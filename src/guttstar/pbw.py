@@ -29,6 +29,15 @@ q_z^{-1}(q_z(x) . q_z(y)), computed per monomial pair as
 Q(alpha) Q(beta) / (|alpha|! |beta|!), and the reference oracle for every
 other product construction in this package.
 
+Give every letter and z degree 1: the rewriting rule is then homogeneous,
+so a term of length m in Q(alpha), in a product of Q's or in any step of the
+elimination carries exactly z^(n - m).  Every internal map is therefore flat,
+``{(word or multi-index, e): coeff}`` with e the power of z; the kernel
+counts e one bracket at a time.  ``star_pbw`` reads e as the z-exponent,
+while ``star_graded`` drops it and reweights by the degree drop, so the two
+routes still check each other.  One context (kernel, Q memo and star memo)
+serves each algebra and both routes.
+
 Rational structure constants flow through the same code as ``Fraction``
 numerators.  Public elements always carry ``Fraction`` coefficients.
 """
@@ -39,10 +48,10 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping
 
-from .kernel import PbwKernel
-from .liealg import LieAlgebra, LieHom, check_hom
+from .kernel import PbwKernel, add_scaled
+from .liealg import LieAlgebra, LieHom, _bracket_table, check_hom
 from .sym import MultiIndex, SymElement, sym_mul
-from .zpoly import CoeffLike, PolyZ, zp_accumulate, zp_mul, zp_scale
+from .zpoly import CoeffLike, PolyZ, zp_mul
 
 Word = tuple[int, ...]
 _UNIT = {0: 1}  # the raw coefficient dict of the constant 1
@@ -132,109 +141,88 @@ class PbwElement:
 
 
 class _Context:
-    """Kernel plus memo tables for one algebra and one bracket weight."""
+    """Kernel plus memo tables for one algebra, shared by every route."""
 
-    def __init__(self, algebra: LieAlgebra, deformed: bool):
+    def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
-        self.deformed = deformed
         rows = {}
-        for i in range(algebra.dim):
-            for j in range(algebra.dim):
-                if i != j:
-                    row = tuple(
-                        (k, c.numerator if c.denominator == 1 else c)
-                        for k, c in sorted(algebra.basis_bracket(i, j).items())
-                    )
-                    if row:
-                        rows[(i, j)] = row
-        self.kernel = PbwKernel(algebra.dim, rows, deform=deformed)
+        for (i, j), row in _bracket_table(algebra).items():
+            rows[(i, j)] = row
+            rows[(j, i)] = tuple((k, -c) for k, c in row)
+        self.kernel = PbwKernel(algebra.dim, rows)
         self.q_cache: dict[MultiIndex, dict] = {}
         self.star_cache: dict[tuple[MultiIndex, MultiIndex], dict] = {}
 
-    # All internals speak the plain-dict coefficient representation
-    # ({z_exp: coeff}, coeff an int numerator where the constants allow);
-    # PolyZ wrapping and Fraction coefficients happen at the public boundary
-    # only, which keeps the dominant elimination loops free of wrapper
-    # object churn and of gcd normalization.
+    # Internals speak flat maps with int numerators where the constants
+    # allow; PolyZ and Fraction appear at the public boundary only, which
+    # keeps the elimination free of wrapper churn and gcd normalization.
 
-    def q_monomial(self, alpha: MultiIndex) -> dict[Word, dict]:
+    def q_monomial(self, alpha: MultiIndex) -> dict:
         """Q(alpha) = |alpha|! q(xi^alpha); callers must not mutate."""
         cached = self.q_cache.get(alpha)
         if cached is not None:
             return cached
-        acc: dict[Word, dict] = {}
-        if not any(alpha):
-            acc[()] = {0: 1}
+        acc = {} if any(alpha) else {((), 0): 1}
+        insert = self.kernel.insert
         for i, a in enumerate(alpha):
-            if not a:
-                continue
-            for word, coeff in self.q_monomial(_decrement(alpha, i)).items():
-                if a != 1:
-                    coeff = zp_scale(coeff, a)
-                for w2, c2 in self.kernel.insert(i, word).items():
-                    zp_accumulate(acc, w2, coeff, c2)
+            if a:
+                for (word, e), c in self.q_monomial(_decrement(alpha, i)).items():
+                    add_scaled(acc, insert(i, word), a * c, e)
         self.q_cache[alpha] = acc
         return acc
 
     def multiply_raw(self, a: dict, b: dict) -> dict:
-        out: dict[Word, dict] = {}
-        for u, cu in a.items():
-            for v, cv in b.items():
-                cuv = zp_mul(cu, cv)
-                if not cuv:
-                    continue
-                for w, c in self.kernel.word_mul(u, v).items():
-                    zp_accumulate(out, w, cuv, c)
+        out: dict = {}
+        word_mul = self.kernel.word_mul
+        for (u, eu), cu in a.items():
+            for (v, ev), cv in b.items():
+                add_scaled(out, word_mul(u, v), cu * cv, eu + ev)
         return out
 
     def q_raw(self, terms: dict) -> dict:
-        out: dict[Word, dict] = {}
-        for alpha, coeff in terms.items():
-            scaled = zp_scale(coeff, Fraction(1, factorial(sum(alpha))))
-            for w, c in self.q_monomial(alpha).items():
-                zp_accumulate(out, w, scaled, c)
+        out: dict = {}
+        for (alpha, e), c in terms.items():
+            add_scaled(out, self.q_monomial(alpha), Fraction(c, factorial(sum(alpha))), e)
         return out
 
     def q_inv_raw(self, u: dict, denom: int = 1) -> dict:
         """q_z^{-1}(u / denom), by triangular elimination on the word length.
 
-        Consumes u: its coefficient dicts become the working numerators.
+        Consumes u: its coefficients become the working numerators.
         """
         dim = self.algebra.dim
-        result: dict[MultiIndex, dict] = {}
+        result: dict = {}
         remaining = u
         while remaining:
-            top_len = max(len(w) for w in remaining)
+            top_len = max(len(w) for w, _ in remaining)
+            final = top_len < 2  # q is the identity on words of length 0 and 1
             layer = []
-            for w in [w for w in remaining if len(w) == top_len]:
-                coeff = remaining.pop(w)
-                alpha = _word_to_multi(w, dim)
-                result[alpha] = {e: Fraction(c, denom) for e, c in coeff.items()}
-                layer.append((alpha, coeff))
-            if top_len < 2:
-                continue  # Q of degree 0 or 1 is its word alone
+            for (w, e), c in remaining.items():
+                if final or len(w) == top_len:
+                    alpha = _word_to_multi(w, dim)
+                    result[(alpha, e)] = Fraction(c, denom)
+                    layer.append((alpha, e, c))
+            if final:
+                break
             f = factorial(top_len)
-            for coeff in remaining.values():
-                for e in coeff:
-                    coeff[e] *= f
+            for key in remaining:
+                remaining[key] *= f
             denom *= f
-            for alpha, coeff in layer:
-                neg = zp_scale(coeff, -1)
-                for w, c in self.q_monomial(alpha).items():
-                    if len(w) < top_len:
-                        zp_accumulate(remaining, w, neg, c)
-            assert all(len(w) < top_len for w in remaining), "elimination failed"
+            # c/D q(xi^alpha) = c Q(alpha) / (D f): subtract c Q(alpha), whose top
+            # word (f times the sorted word) cancels the layer's scaled numerator
+            for alpha, e, c in layer:
+                add_scaled(remaining, self.q_monomial(alpha), -c, e)
+            assert all(len(w) < top_len for w, _ in remaining), "elimination failed"
         return result
 
     def star_monomials(self, alpha: MultiIndex, beta: MultiIndex) -> dict:
-        """Raw xi^alpha * xi^beta; callers must not mutate."""
+        """Raw xi^alpha * xi^beta as {(gamma, e): Fraction}; callers must not
+        mutate."""
         key = (alpha, beta)
         cached = self.star_cache.get(key)
         if cached is None:
             product = self.multiply_raw(self.q_monomial(alpha), self.q_monomial(beta))
-            cached = self.q_inv_raw(
-                product, factorial(sum(alpha)) * factorial(sum(beta))
-            )
+            cached = self.q_inv_raw(product, factorial(sum(alpha)) * factorial(sum(beta)))
             self.star_cache[key] = cached
         return cached
 
@@ -250,34 +238,30 @@ def _word_to_multi(word: Word, dim: int) -> MultiIndex:
     return tuple(counts)
 
 
-def _sym_to_raw(x: SymElement) -> dict:
-    return {alpha: c.as_dict() for alpha, c in x.items()}
+def _flatten(items: Iterable[tuple[tuple, PolyZ]]) -> dict:
+    """Public (key, PolyZ) pairs as the flat map {(key, e): coeff}."""
+    return {(key, e): c for key, p in items for e, c in p.items()}
 
 
-def _raw_to_sym(algebra: LieAlgebra, terms: dict) -> SymElement:
-    return SymElement._raw(
-        algebra, {alpha: PolyZ._raw(c) for alpha, c in terms.items()}
-    )
+def _grouped(flat: dict) -> dict:
+    """The flat map {(key, e): coeff} as fresh {key: PolyZ}."""
+    out: dict = {}
+    for (key, e), c in flat.items():
+        p = out.get(key)
+        if p is None:
+            out[key] = PolyZ._raw({e: c})
+        else:
+            p._c[e] = c
+    return out
 
 
-def _pbw_to_raw(u: PbwElement) -> dict:
-    return {w: c.as_dict() for w, c in u.items()}
+_contexts: dict[LieAlgebra, _Context] = {}
 
 
-def _raw_to_pbw(algebra: LieAlgebra, terms: dict) -> PbwElement:
-    return PbwElement(
-        algebra, {w: PolyZ._raw(c) for w, c in terms.items() if c}
-    )
-
-
-_contexts: dict[tuple[LieAlgebra, bool], _Context] = {}
-
-
-def _context(algebra: LieAlgebra, deformed: bool = True) -> _Context:
-    key = (algebra, deformed)
-    ctx = _contexts.get(key)
+def _context(algebra: LieAlgebra) -> _Context:
+    ctx = _contexts.get(algebra)
     if ctx is None:
-        ctx = _contexts[key] = _Context(algebra, deformed)
+        ctx = _contexts[algebra] = _Context(algebra)
     return ctx
 
 
@@ -291,27 +275,29 @@ def pbw_mul(a: PbwElement, b: PbwElement) -> PbwElement:
     if a.algebra != b.algebra:
         raise ValueError("elements live over different algebras")
     ctx = _context(a.algebra)
-    return _raw_to_pbw(a.algebra, ctx.multiply_raw(_pbw_to_raw(a), _pbw_to_raw(b)))
+    product = ctx.multiply_raw(_flatten(a.items()), _flatten(b.items()))
+    return PbwElement(a.algebra, _grouped(product))
 
 
 def q_z(x: SymElement) -> PbwElement:
     """PBW symmetrization map Sym(g) -> U(g_z)."""
     ctx = _context(x.algebra)
-    return _raw_to_pbw(x.algebra, ctx.q_raw(_sym_to_raw(x)))
+    return PbwElement(x.algebra, _grouped(ctx.q_raw(_flatten(x.items()))))
 
 
 def q_z_inv(u: PbwElement) -> SymElement:
     """Exact inverse of q_z."""
     ctx = _context(u.algebra)
-    return _raw_to_sym(u.algebra, ctx.q_inv_raw(_pbw_to_raw(u)))
+    return SymElement._raw(u.algebra, _grouped(ctx.q_inv_raw(_flatten(u.items()))))
 
 
 def star_pbw(x: SymElement, y: SymElement) -> SymElement:
-    """The star product q_z^{-1}(q_z(x) . q_z(y)); the oracle product.
+    """The star product q_z^{-1}(q_z(x) . q_z(y)); the oracle product.  The
+    power of z of each term is the kernel's bracket count e.
 
     A pair of unit monomials (one term each, coefficient exactly 1) is
-    served straight from the memo of monomial products, copied so that the
-    result shares no dict with the memo.
+    served straight from the memo of monomial products, regrouped into fresh
+    dicts so that the result shares none with the memo.
     """
     if x.algebra != y.algebra:
         raise ValueError("elements live over different algebras")
@@ -320,22 +306,20 @@ def star_pbw(x: SymElement, y: SymElement) -> SymElement:
         (alpha, ca), = x.items()
         (beta, cb), = y.items()
         if ca._c == _UNIT and cb._c == _UNIT:
-            cached = ctx.star_monomials(alpha, beta)
-            return SymElement._raw(
-                x.algebra, {gamma: PolyZ._raw(dict(cg)) for gamma, cg in cached.items()}
-            )
-    out: dict[MultiIndex, dict] = {}
+            return SymElement._raw(x.algebra, _grouped(ctx.star_monomials(alpha, beta)))
+    out: dict = {}
     for alpha, ca in x.items():
         for beta, cb in y.items():
-            c = zp_mul(ca, cb)
-            for gamma, cg in ctx.star_monomials(alpha, beta).items():
-                zp_accumulate(out, gamma, c, cg)
-    return _raw_to_sym(x.algebra, out)
+            product = ctx.star_monomials(alpha, beta)
+            for e, c in zp_mul(ca._c, cb._c).items():
+                add_scaled(out, product, c, e)
+    return SymElement._raw(x.algebra, _grouped(out))
 
 
 def star_graded(x: SymElement, y: SymElement) -> SymElement:
-    """The degree-graded construction: undeformed PBW product, with the
-    degree-(k+l-n) part of each homogeneous block reweighted by z^n.
+    """The degree-graded construction: the PBW product with its bracket
+    count dropped, and the degree-(k+l-n) part of each homogeneous block
+    reweighted by z^n.
 
     Requires z-constant inputs.  Must coincide with star_pbw.
     """
@@ -343,16 +327,15 @@ def star_graded(x: SymElement, y: SymElement) -> SymElement:
         raise ValueError("elements live over different algebras")
     if not (x.is_z_constant and y.is_z_constant):
         raise ValueError("star_graded needs z-constant inputs")
-    ctx = _context(x.algebra, deformed=False)
-    out: dict[MultiIndex, dict] = {}
+    ctx = _context(x.algebra)
+    out: dict = {}
     for alpha, ca in x.items():
         for beta, cb in y.items():
-            c = zp_mul(ca, cb)
             kl = sum(alpha) + sum(beta)
-            for gamma, cg in ctx.star_monomials(alpha, beta).items():
-                shift = kl - sum(gamma)
-                zp_accumulate(out, gamma, c, {e + shift: v for e, v in cg.items()})
-    return _raw_to_sym(x.algebra, out)
+            product = ctx.star_monomials(alpha, beta)
+            drop = {(gamma, kl - sum(gamma)): cg for (gamma, _), cg in product.items()}
+            add_scaled(out, drop, ca.coeff(0) * cb.coeff(0))
+    return SymElement._raw(x.algebra, _grouped(out))
 
 
 def lift_hom(phi: LieHom, x: SymElement) -> SymElement:
@@ -371,15 +354,16 @@ def _lift_hom(phi: LieHom, x: SymElement) -> SymElement:
     coefficient map."""
     target = phi.target
     images = [SymElement.from_vector(target, col) for col in phi.matrix]
-    out: dict[MultiIndex, dict] = {}
+    out: dict = {}
     for alpha, coeff in x.items():
         image = SymElement.unit(target)
         for i, a in enumerate(alpha):
             for _ in range(a):
                 image = sym_mul(image, images[i])
-        for gamma, c in image.items():
-            zp_accumulate(out, gamma, coeff._c, c._c)
-    return _raw_to_sym(target, out)
+        flat = _flatten(image.items())
+        for e, c in coeff.items():
+            add_scaled(out, flat, c, e)
+    return SymElement._raw(target, _grouped(out))
 
 
 def star(x: SymElement, y: SymElement, method: str = "pbw") -> SymElement:

@@ -18,7 +18,7 @@ point unless R is integral and an exact value is requested).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -268,12 +268,19 @@ class Seminorm:
 
     algebra: LieAlgebra
     weights: tuple[Fraction, ...]
+    # the weights' int numerators and denominators, read by weight_ratios
+    _ratios: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != self.algebra.dim:
             raise ValueError("need one weight per basis element")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
+        ratios = (
+            tuple(w.numerator for w in self.weights),
+            tuple(w.denominator for w in self.weights),
+        )
+        object.__setattr__(self, "_ratios", ratios)
 
     @classmethod
     def ell1(cls, algebra: LieAlgebra, weights: Sequence = None) -> "Seminorm":
@@ -333,9 +340,9 @@ def graded_term(n: int, R: RLike, part: Fraction, scale: float = 1.0) -> float:
     return math.exp(log_term)
 
 
-def weight_ratios(p: Seminorm) -> tuple[list[int], list[int]]:
-    """The weights as parallel lists of int numerators and denominators."""
-    return [w.numerator for w in p.weights], [w.denominator for w in p.weights]
+def weight_ratios(p: Seminorm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The weights as parallel tuples of int numerators and denominators."""
+    return p._ratios
 
 
 def weight_ratio(

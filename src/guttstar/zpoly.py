@@ -2,9 +2,9 @@
 
 Coefficients of all algebra elements live here: a ``PolyZ`` is a finitely
 supported map from nonnegative z-exponents to ``fractions.Fraction``, kept in
-canonical form (no stored zeros).  The kernel and the pbw layer work on the
-plain dict representation directly, where coefficients may also be ``int``
-numerators; ``PolyZ`` wraps such dicts for the public API.
+canonical form (no stored zeros).  The hopf layer works on the plain dict
+representation directly; ``PolyZ`` wraps such dicts for the public API.  The
+kernel and the pbw layer keep z-exponents in their own flat keys instead.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ CoeffLike = Union[int, Fraction, "PolyZ"]
 _FZERO = Fraction(0)  # shared default of coeff(); Fraction is immutable
 
 # ---------------------------------------------------------------------------
-# plain-dict helpers (hot path; also used by the kernel and the pbw layer)
+# plain-dict helpers (hot path; also used by the hopf and pbw layers)
 # ---------------------------------------------------------------------------
 
 

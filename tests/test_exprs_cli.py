@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,8 @@ def test_cli_mul_parse_error(capsys):
     [
         ["mul", "P^7", "Q^6", "--method", "bch"],
         ["mul", "P^7", "Q^6", "--check"],
+        ["mul", "P^100", "Q^100"],
+        ["mul", "P^16", "Q^15", "--method", "graded"],
         ["mul", "P", "Q", "--z", "1/0"],
     ],
 )
@@ -98,6 +101,13 @@ def test_cli_mul_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_mul_accepts_the_degree_limit(capsys):
+    # P^k * Q^k has the top term (k! / 2^k) z^k E^k
+    assert main(["mul", "P^15", "Q^15", "--method", "graded"]) == 0
+    top = Fraction(math.factorial(15), 2**15)
+    assert capsys.readouterr().out.startswith(f"({top})*z^15*E^15 + ")
 
 
 def test_cli_mul_methods_agree(capsys):
@@ -119,6 +129,14 @@ def test_cli_verify_suites(capsys):
         assert main(["verify", suite, "--max-degree", "4"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "pass" in out
+
+
+@pytest.mark.parametrize("suite", ["assoc", "hopf", "appendix", "bch", "nilpotent", "all"])
+def test_cli_verify_rejects_negative_max_degree(suite, capsys):
+    assert main(["verify", suite, "--max-degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-degree must be nonnegative\n"
 
 
 def test_cli_verify_nilpotent_skips_on_sl2(tmp_path, capsys):

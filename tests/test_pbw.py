@@ -50,16 +50,10 @@ def kernel_rows(L):
 def test_kernel_basic_rewrite():
     L = heisenberg()
     k = PbwKernel(L.dim, kernel_rows(L))
-    # e_Q e_P -> e_P e_Q - z e_E
+    # e_Q e_P -> e_P e_Q - z e_E: the bracket term carries one bracket count
     assert k.normal_order((1, 0)) == {
-        (0, 1): {0: Fraction(1)},
-        (2,): {1: Fraction(-1)},
-    }
-    # classical kernel carries the bracket at z^0
-    k0 = PbwKernel(L.dim, kernel_rows(L), deform=False)
-    assert k0.normal_order((1, 0)) == {
-        (0, 1): {0: Fraction(1)},
-        (2,): {0: Fraction(-1)},
+        ((0, 1), 0): Fraction(1),
+        ((2,), 1): Fraction(-1),
     }
 
 
@@ -67,7 +61,7 @@ def test_insert_results_are_not_mutated():
     L = sl2()
     k = PbwKernel(L.dim, kernel_rows(L))
     first = k.insert(2, (0, 1))
-    snapshot = {w: dict(c) for w, c in first.items()}
+    snapshot = dict(first)
     # exercise overlapping computations, then re-check the memoized value
     k.word_mul((2, 2), (0, 0, 1, 1))
     k.normal_order((2, 1, 0))
@@ -75,7 +69,7 @@ def test_insert_results_are_not_mutated():
 
 
 def coefficient_types(raw):
-    return {type(c) for coeff in raw.values() for c in coeff.values()}
+    return {type(c) for c in raw.values()}
 
 
 def test_integral_constants_stay_int_inside_and_fraction_outside():

@@ -16,6 +16,7 @@ from guttstar.sym import SymElement
 from guttstar.zpoly import PolyZ
 
 from random_inputs import nilpotent_algebras, rescaled_sl2
+from test_pbw import brute_normal_order
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 nonzero_rationals = rationals.filter(bool)
@@ -97,10 +98,9 @@ def test_q_z_matches_permutation_sum(case):
     kernel = _context(L).kernel
     expected = {}
     for perm in itertools.permutations(letters):
-        for w, coeff in kernel.normal_order(perm).items():
+        for (w, e), c in kernel.normal_order(perm).items():
             slot = expected.setdefault(w, {})
-            for e, c in coeff.items():
-                slot[e] = slot.get(e, 0) + Fraction(c, math.factorial(len(letters)))
+            slot[e] = slot.get(e, 0) + Fraction(c, math.factorial(len(letters)))
     terms = {w: PolyZ(c) for w, c in expected.items()}
     assert dict(q_z(SymElement.monomial(L, alpha)).items()) == {
         w: c for w, c in terms.items() if c
@@ -116,7 +116,7 @@ def unit_monomial_pairs(draw):
 
 
 def _snapshot(cache):
-    return {key: {g: dict(cg) for g, cg in v.items()} for key, v in cache.items()}
+    return {key: dict(v) for key, v in cache.items()}
 
 
 @given(case=unit_monomial_pairs())
@@ -132,8 +132,28 @@ def test_unit_monomial_products_are_served_from_the_memo_unshared(case):
     assert star_pbw(x, y) == product
     cache = _context(L).star_cache
     cached = cache[(alpha, beta)]
-    assert all(coeff._c is not cached[gamma] for gamma, coeff in product.items())
+    assert all(coeff._c is not cached for _, coeff in product.items())
     before = _snapshot(cache)
     used = (product + product.scale(c)).evaluate_z(c) + product.evaluate_z(c)
     assert used == product.scale(1 + c).evaluate_z(c) + product.evaluate_z(c)
     assert _snapshot(cache) == before
+
+
+@st.composite
+def algebra_words(draw):
+    L = draw(st.one_of(nilpotent_algebras(STRUCTURE_CONSTANTS), st.just(sl2()), rescaled_sl2()))
+    return L, tuple(draw(st.lists(st.integers(0, L.dim - 1), max_size=5)))
+
+
+@given(case=algebra_words())
+@settings(deadline=None)
+def test_kernel_normal_order_matches_rewriting_oracle_and_counts_brackets(case):
+    """The kernel's normal form of a word equals leftmost-descent rewriting,
+    and each term's bracket count e is the length the word lost."""
+    L, word = case
+    terms = _context(L).kernel.normal_order(word)
+    assert all(e == len(word) - len(w) for w, e in terms)
+    grouped = {}
+    for (w, e), c in terms.items():
+        grouped.setdefault(w, {})[e] = c
+    assert grouped == brute_normal_order(L, word)

@@ -6,22 +6,25 @@ per-layer metrics that need it."""
 import sys
 from pathlib import Path
 
+import pytest
+
+from guttstar import pbw
+from guttstar.liealg import sl2
+from guttstar.sym import SymElement
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_trace_tables_find_every_entry_point():
+@pytest.fixture
+def layers():
+    """The benchmark's ``layers`` module, imported from ``perfbench``."""
     saved_path = list(sys.path)
     saved_modules = {name: sys.modules.get(name) for name in ("layers", "tracer")}
     sys.path.insert(0, str(PERFBENCH))
     try:
         import layers
-        from tracer import Tracer
 
-        patcher = layers.install(Tracer())
-        try:
-            assert patcher.missing == []
-        finally:
-            patcher.restore()
+        yield layers
     finally:
         sys.path[:] = saved_path
         for name, module in saved_modules.items():
@@ -29,3 +32,29 @@ def test_trace_tables_find_every_entry_point():
                 sys.modules.pop(name, None)
             else:
                 sys.modules[name] = module
+
+
+def test_trace_tables_find_every_entry_point(layers):
+    from tracer import Tracer
+
+    patcher = layers.install(Tracer())
+    try:
+        assert patcher.missing == []
+    finally:
+        patcher.restore()
+
+
+def test_memo_count_reads_the_one_context_per_algebra(layers, monkeypatch):
+    """Both PBW-based routes share one context per algebra, and the memo
+    count the benchmark reports is the size of its star and q memos."""
+    monkeypatch.setattr(pbw, "_contexts", {})
+    L = sl2()
+    x = SymElement(L, {(1, 1, 0): 2, (0, 0, 1): 1})
+    y = SymElement(L, {(0, 2, 1): -1})
+    pbw.star_pbw(x, y)
+    pbw.star_graded(x, y)
+    assert list(pbw._contexts) == [L]
+    ctx = pbw._contexts[L]
+    entries = layers._star_memo_entries()
+    assert isinstance(entries, int) and entries > 0
+    assert entries == len(ctx.star_cache) + len(ctx.q_cache)
