@@ -34,6 +34,10 @@ VERIFY_SUITES = ("assoc", "hopf", "appendix", "bch", "nilpotent", "all")
 # two monomials on a stock algebra ends in about a second (mixed sl2 monomials
 # are the slowest)
 MUL_MAX_DEGREE = 30
+# limit on terms(x) * terms(y) of `mul` on the same routes, which run one
+# monomial product per pair: on Heisenberg, (P+Q+E)^12 squared (8,281 pairs,
+# degree 24) ends in about 2.5 s
+MUL_MAX_TERM_PAIRS = 10_000
 
 
 class UsageError(Exception):
@@ -106,6 +110,11 @@ def cmd_mul(args) -> int:
         route, top = args.method, MUL_MAX_DEGREE
     if degree > top:
         raise UsageError(f"the {route} route supports total degree up to {top}, got {degree}")
+    pairs = len(x.items()) * len(y.items())
+    if route != "BCH" and pairs > MUL_MAX_TERM_PAIRS:
+        raise UsageError(
+            f"the {route} route supports up to {MUL_MAX_TERM_PAIRS} pairs of terms, got {pairs}"
+        )
     if args.check:
         results = {m: star(x, y, method=m) for m in ("pbw", "graded", "bch")}
         reference = results["pbw"]

@@ -23,35 +23,45 @@ monomial is its sorted word plus strictly shorter words.  The words still to
 be eliminated are kept as numerators over one common denominator D.  Taking
 off the words of length m reads each coefficient c / D, multiplies every
 remaining numerator and D by m!, and subtracts c Q(alpha), which is then
-exact: c/D q(xi^alpha) = c Q(alpha) / (D m!).  Each output coefficient
-becomes one ``Fraction(c, D)``.  ``star_pbw`` is the pull-back product
-q_z^{-1}(q_z(x) . q_z(y)), computed per monomial pair as
-Q(alpha) Q(beta) / (|alpha|! |beta|!), and the reference oracle for every
-other product construction in this package.
+exact: c/D q(xi^alpha) = c Q(alpha) / (D m!).  The result is
+``(D, ((alpha, e, n), ...))``: every numerator n over the final D, and with
+integral constants all of them ints reduced by their common gcd.
+``star_pbw`` is the pull-back product q_z^{-1}(q_z(x) . q_z(y)), computed per
+monomial pair as Q(alpha) Q(beta) / (|alpha|! |beta|!), and the reference
+oracle for every other product construction in this package.  The star memo
+keeps each monomial product in that ``(D, terms)`` form, immutable; the
+public products sum their pairs on the numerators over one common
+denominator and build each output coefficient as one ``Fraction``.  A
+product of two unit monomials is served from a second memo of ready
+``{gamma: PolyZ}`` maps, shared by every call: each call gets a fresh terms
+dict over the same PolyZ objects, which is safe because nothing mutates a
+PolyZ once built.
 
 Give every letter and z degree 1: the rewriting rule is then homogeneous,
 so a term of length m in Q(alpha), in a product of Q's or in any step of the
 elimination carries exactly z^(n - m).  Every internal map is therefore flat,
-``{(word or multi-index, e): coeff}`` with e the power of z; the kernel
-counts e one bracket at a time.  ``star_pbw`` reads e as the z-exponent,
-while ``star_graded`` drops it and reweights by the degree drop, so the two
-routes still check each other.  One context (kernel, Q memo and star memo)
-serves each algebra and both routes.
+``{(word or multi-index, e): coeff}`` or the star memo's ``(gamma, e, n)``
+triples, with e the power of z; the kernel counts e one bracket at a time.
+``star_pbw`` reads e as the z-exponent, while ``star_graded`` drops it and
+reweights by the degree drop, so the two routes still check each other.  One
+context (kernel, Q memo and the two star memos) serves each algebra and both
+routes.
 
 Rational structure constants flow through the same code as ``Fraction``
-numerators.  Public elements always carry ``Fraction`` coefficients.
+numerators, which are not reduced by a gcd.  Public elements always carry
+``Fraction`` coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 from .kernel import PbwKernel, add_scaled
 from .liealg import LieAlgebra, LieHom, _bracket_table, check_hom
 from .sym import MultiIndex, SymElement, sym_mul
-from .zpoly import CoeffLike, PolyZ, zp_mul
+from .zpoly import CoeffLike, PolyZ
 
 Word = tuple[int, ...]
 _UNIT = {0: 1}  # the raw coefficient dict of the constant 1
@@ -151,7 +161,9 @@ class _Context:
             rows[(j, i)] = tuple((k, -c) for k, c in row)
         self.kernel = PbwKernel(algebra.dim, rows)
         self.q_cache: dict[MultiIndex, dict] = {}
-        self.star_cache: dict[tuple[MultiIndex, MultiIndex], dict] = {}
+        self.star_cache: dict[tuple[MultiIndex, MultiIndex], tuple] = {}
+        # star_pbw of unit monomials as {gamma: PolyZ}, shared by every call
+        self.unit_cache: dict[tuple[MultiIndex, MultiIndex], dict] = {}
 
     # Internals speak flat maps with int numerators where the constants
     # allow; PolyZ and Fraction appear at the public boundary only, which
@@ -185,23 +197,24 @@ class _Context:
             add_scaled(out, self.q_monomial(alpha), Fraction(c, factorial(sum(alpha))), e)
         return out
 
-    def q_inv_raw(self, u: dict, denom: int = 1) -> dict:
-        """q_z^{-1}(u / denom), by triangular elimination on the word length.
+    def q_inv_raw(self, u: dict, denom: int = 1) -> tuple:
+        """q_z^{-1}(u / denom), by triangular elimination on the word length,
+        as ``(D, ((alpha, e, n), ...))``: the coefficient of z^e xi^alpha is
+        n / D.  Integer numerators come out reduced by their common gcd with D.
 
         Consumes u: its coefficients become the working numerators.
         """
         dim = self.algebra.dim
-        result: dict = {}
+        layers = []  # (D when the layer was taken off, [(alpha, e, c), ...])
         remaining = u
+        top_len = max(len(w) for w, _ in remaining) if remaining else 0
         while remaining:
-            top_len = max(len(w) for w, _ in remaining)
             final = top_len < 2  # q is the identity on words of length 0 and 1
             layer = []
             for (w, e), c in remaining.items():
                 if final or len(w) == top_len:
-                    alpha = _word_to_multi(w, dim)
-                    result[(alpha, e)] = Fraction(c, denom)
-                    layer.append((alpha, e, c))
+                    layer.append((_word_to_multi(w, dim), e, c))
+            layers.append((denom, layer))
             if final:
                 break
             f = factorial(top_len)
@@ -212,12 +225,22 @@ class _Context:
             # word (f times the sorted word) cancels the layer's scaled numerator
             for alpha, e, c in layer:
                 add_scaled(remaining, self.q_monomial(alpha), -c, e)
-            assert all(len(w) < top_len for w, _ in remaining), "elimination failed"
-        return result
+            shorter = max(len(w) for w, _ in remaining) if remaining else 0
+            assert shorter < top_len, "elimination failed"
+            top_len = shorter
+        terms = [(alpha, e, c * (denom // d)) for d, layer in layers for alpha, e, c in layer]
+        try:
+            g = gcd(denom, *[n for _, _, n in terms])
+        except TypeError:  # Fraction numerators (rational constants or inputs)
+            return denom, tuple(terms)
+        if g > 1:
+            denom //= g
+            terms = [(alpha, e, n // g) for alpha, e, n in terms]
+        return denom, tuple(terms)
 
-    def star_monomials(self, alpha: MultiIndex, beta: MultiIndex) -> dict:
-        """Raw xi^alpha * xi^beta as {(gamma, e): Fraction}; callers must not
-        mutate."""
+    def star_monomials(self, alpha: MultiIndex, beta: MultiIndex) -> tuple:
+        """Raw xi^alpha * xi^beta as ``(D, ((gamma, e, n), ...))``, the form
+        of ``q_inv_raw``; immutable, so callers may keep it."""
         key = (alpha, beta)
         cached = self.star_cache.get(key)
         if cached is None:
@@ -243,10 +266,11 @@ def _flatten(items: Iterable[tuple[tuple, PolyZ]]) -> dict:
     return {(key, e): c for key, p in items for e, c in p.items()}
 
 
-def _grouped(flat: dict) -> dict:
-    """The flat map {(key, e): coeff} as fresh {key: PolyZ}."""
+def _grouped(items: Iterable[tuple[tuple, CoeffLike]]) -> dict:
+    """The flat items ((key, e), coeff), each (key, e) once, as fresh
+    {key: PolyZ}."""
     out: dict = {}
-    for (key, e), c in flat.items():
+    for (key, e), c in items:
         p = out.get(key)
         if p is None:
             out[key] = PolyZ._raw({e: c})
@@ -276,28 +300,33 @@ def pbw_mul(a: PbwElement, b: PbwElement) -> PbwElement:
         raise ValueError("elements live over different algebras")
     ctx = _context(a.algebra)
     product = ctx.multiply_raw(_flatten(a.items()), _flatten(b.items()))
-    return PbwElement(a.algebra, _grouped(product))
+    return PbwElement(a.algebra, _grouped(product.items()))
 
 
 def q_z(x: SymElement) -> PbwElement:
     """PBW symmetrization map Sym(g) -> U(g_z)."""
     ctx = _context(x.algebra)
-    return PbwElement(x.algebra, _grouped(ctx.q_raw(_flatten(x.items()))))
+    return PbwElement(x.algebra, _grouped(ctx.q_raw(_flatten(x.items())).items()))
 
 
 def q_z_inv(u: PbwElement) -> SymElement:
     """Exact inverse of q_z."""
-    ctx = _context(u.algebra)
-    return SymElement._raw(u.algebra, _grouped(ctx.q_inv_raw(_flatten(u.items()))))
+    denom, terms = _context(u.algebra).q_inv_raw(_flatten(u.items()))
+    flat = (((alpha, e), Fraction(n, denom)) for alpha, e, n in terms)
+    return SymElement._raw(u.algebra, _grouped(flat))
 
 
 def star_pbw(x: SymElement, y: SymElement) -> SymElement:
     """The star product q_z^{-1}(q_z(x) . q_z(y)); the oracle product.  The
     power of z of each term is the kernel's bracket count e.
 
-    A pair of unit monomials (one term each, coefficient exactly 1) is
-    served straight from the memo of monomial products, regrouped into fresh
-    dicts so that the result shares none with the memo.
+    Each pair of terms reads its monomial product from the star memo as
+    numerators n over one denominator D (ints for integral constants), and
+    every coefficient of the result is built as one ``Fraction`` at the end.  A pair of unit
+    monomials (one term each, coefficient exactly 1) is served from a second
+    memo of ready {gamma: PolyZ} maps: the result gets a fresh terms dict
+    over the memo's PolyZ objects, which is safe because a PolyZ is never
+    mutated once built.
     """
     if x.algebra != y.algebra:
         raise ValueError("elements live over different algebras")
@@ -306,14 +335,24 @@ def star_pbw(x: SymElement, y: SymElement) -> SymElement:
         (alpha, ca), = x.items()
         (beta, cb), = y.items()
         if ca._c == _UNIT and cb._c == _UNIT:
-            return SymElement._raw(x.algebra, _grouped(ctx.star_monomials(alpha, beta)))
-    out: dict = {}
+            # looked up on every call, so that the star memo's hits count these
+            denom, terms = ctx.star_monomials(alpha, beta)
+            key = (alpha, beta)
+            shared = ctx.unit_cache.get(key)
+            if shared is None:
+                shared = ctx.unit_cache[key] = _grouped(
+                    ((gamma, e), Fraction(n, denom)) for gamma, e, n in terms
+                )
+            return SymElement._raw(x.algebra, dict(shared))
+    parts = []
     for alpha, ca in x.items():
         for beta, cb in y.items():
-            product = ctx.star_monomials(alpha, beta)
-            for e, c in zp_mul(ca._c, cb._c).items():
-                add_scaled(out, product, c, e)
-    return SymElement._raw(x.algebra, _grouped(out))
+            denom, terms = ctx.star_monomials(alpha, beta)
+            for ea, a in ca._c.items():
+                for eb, b in cb._c.items():
+                    den = denom * a.denominator * b.denominator
+                    parts.append((den, terms, a.numerator * b.numerator, ea + eb))
+    return SymElement._raw(x.algebra, _sum_parts(parts))
 
 
 def star_graded(x: SymElement, y: SymElement) -> SymElement:
@@ -328,14 +367,43 @@ def star_graded(x: SymElement, y: SymElement) -> SymElement:
     if not (x.is_z_constant and y.is_z_constant):
         raise ValueError("star_graded needs z-constant inputs")
     ctx = _context(x.algebra)
-    out: dict = {}
+    parts = []
     for alpha, ca in x.items():
         for beta, cb in y.items():
             kl = sum(alpha) + sum(beta)
-            product = ctx.star_monomials(alpha, beta)
-            drop = {(gamma, kl - sum(gamma)): cg for (gamma, _), cg in product.items()}
-            add_scaled(out, drop, ca.coeff(0) * cb.coeff(0))
-    return SymElement._raw(x.algebra, _grouped(out))
+            denom, terms = ctx.star_monomials(alpha, beta)
+            drop = [(gamma, kl - sum(gamma), n) for gamma, _, n in terms]
+            a, b = ca.coeff(0), cb.coeff(0)
+            den = denom * a.denominator * b.denominator
+            parts.append((den, drop, a.numerator * b.numerator, 0))
+    return SymElement._raw(x.algebra, _sum_parts(parts))
+
+
+def _sum_parts(parts: list) -> dict:
+    """sum num z^shift terms / den over the parts (den, ((gamma, e, n), ...),
+    num, shift), with den and num nonzero ints, as fresh {gamma: PolyZ}.
+
+    The sum runs on the numerators over the lcm of the parts' denominators,
+    so each output coefficient is one ``Fraction``.
+    """
+    if len(parts) == 1:
+        (den, terms, num, shift), = parts
+        return _grouped([((gamma, e + shift), Fraction(n * num, den)) for gamma, e, n in terms])
+    common = lcm(*(den for den, _, _, _ in parts))
+    acc: dict = {}
+    get = acc.get
+    for den, terms, num, shift in parts:
+        scale = num * (common // den)
+        for gamma, e, n in terms:
+            key = (gamma, e + shift)
+            v = get(key)
+            if v is None:
+                acc[key] = n * scale
+            elif v := v + n * scale:
+                acc[key] = v
+            else:
+                del acc[key]
+    return _grouped((key, Fraction(v, common)) for key, v in acc.items())
 
 
 def lift_hom(phi: LieHom, x: SymElement) -> SymElement:
@@ -363,7 +431,7 @@ def _lift_hom(phi: LieHom, x: SymElement) -> SymElement:
         flat = _flatten(image.items())
         for e, c in coeff.items():
             add_scaled(out, flat, c, e)
-    return SymElement._raw(target, _grouped(out))
+    return SymElement._raw(target, _grouped(out.items()))
 
 
 def star(x: SymElement, y: SymElement, method: str = "pbw") -> SymElement:

@@ -95,6 +95,8 @@ def test_cli_mul_parse_error(capsys):
         ["mul", "P^100", "Q^100"],
         ["mul", "P^16", "Q^15", "--method", "graded"],
         ["mul", "P", "Q", "--z", "1/0"],
+        ["mul", "(P+Q+E)^13", "(P+Q+E)^13"],
+        ["mul", "(P+Q+E)^13", "(P+Q+E)^13", "--method", "graded"],
     ],
 )
 def test_cli_mul_usage_errors(argv, capsys):

@@ -1,7 +1,7 @@
-"""Property tests of the PBW route on algebras with non-integral structure
-constants, where the pipeline runs on Fraction numerators instead of int:
-random valid nilpotent algebras of dimension 3-5 and rational rescalings of
-sl2."""
+"""Property tests of the PBW route, mostly on algebras with non-integral
+structure constants, where the pipeline runs on Fraction numerators instead
+of int: random valid nilpotent algebras of dimension 3-5 and rational
+rescalings of sl2.  The star memo tests add integral algebras and sl2."""
 
 import itertools
 import math
@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guttstar.liealg import bracket, sl2
+from guttstar.liealg import _bracket_table, bracket, sl2
 from guttstar.pbw import _context, pbw_mul, q_z, q_z_inv, star_graded, star_pbw
 from guttstar.sym import SymElement
 from guttstar.zpoly import PolyZ
@@ -115,28 +115,95 @@ def unit_monomial_pairs(draw):
     return L, draw(index), draw(index), c
 
 
-def _snapshot(cache):
-    return {key: dict(v) for key, v in cache.items()}
+def _snapshot(ctx):
+    """Both memo tables by value, down to each shared PolyZ's dict."""
+    units = {
+        key: {gamma: dict(p._c) for gamma, p in shared.items()}
+        for key, shared in ctx.unit_cache.items()
+    }
+    return dict(ctx.star_cache), units
 
 
 @given(case=unit_monomial_pairs())
 @settings(deadline=None)
 def test_unit_monomial_products_are_served_from_the_memo_unshared(case):
     """Unit monomials take the memo fast path; a coefficient c != 1 takes the
-    general path, and both agree.  The result shares no dict with the memo,
-    so using it leaves the memo as it was."""
+    general path, and both agree.  The result shares no mutable dict with
+    either memo table, so using it, even writing to its terms, leaves both
+    tables as they were."""
     L, alpha, beta, c = case
     x, y = SymElement.monomial(L, alpha), SymElement.monomial(L, beta)
     product = star_pbw(x, y)
     assert product == star_pbw(x.scale(c), y).scale(1 / c)
     assert star_pbw(x, y) == product
-    cache = _context(L).star_cache
-    cached = cache[(alpha, beta)]
-    assert all(coeff._c is not cached for _, coeff in product.items())
-    before = _snapshot(cache)
+    ctx = _context(L)
+    hash(ctx.star_cache[(alpha, beta)])  # immutable all the way down
+    assert product._terms is not ctx.unit_cache[(alpha, beta)]
+    before = _snapshot(ctx)
     used = (product + product.scale(c)).evaluate_z(c) + product.evaluate_z(c)
     assert used == product.scale(1 + c).evaluate_z(c) + product.evaluate_z(c)
-    assert _snapshot(cache) == before
+    product._terms.clear()
+    assert _snapshot(ctx) == before
+    assert star_pbw(x, y) == star_pbw(x.scale(c), y).scale(1 / c)
+
+
+def _is_integral(L):
+    return all(type(c) is int for row in _bracket_table(L).values() for _, c in row)
+
+
+memo_algebras = st.one_of(
+    nilpotent_algebras([0, 1, -1, 2]), st.just(sl2()), rescaled_sl2(), algebras
+)
+
+
+@st.composite
+def memo_cases(draw):
+    L = draw(memo_algebras)
+    index = st.tuples(*[st.integers(0, 2)] * L.dim).filter(lambda a: sum(a) <= 4)
+    return L, draw(index), draw(index)
+
+
+@given(case=memo_cases())
+@settings(deadline=None)
+def test_star_memo_holds_reduced_integer_numerators_of_the_definition(case):
+    """A star memo entry is (D, ((gamma, e, n), ...)) with n / D the
+    coefficient of z^e xi^gamma in q_z^{-1}(q_z(xi^alpha) q_z(xi^beta)); with
+    integral structure constants D and every n are ints without a common
+    factor."""
+    L, alpha, beta = case
+    x, y = SymElement.monomial(L, alpha), SymElement.monomial(L, beta)
+    star_pbw(x.scale(2), y)
+    denom, terms = _context(L).star_cache[(alpha, beta)]
+    if _is_integral(L):
+        assert all(type(v) is int for v in (denom, *(n for _, _, n in terms)))
+        assert math.gcd(denom, *(n for _, _, n in terms)) == 1
+    entry = {}
+    for gamma, e, n in terms:
+        entry.setdefault(gamma, {})[e] = Fraction(n, denom)
+    assert SymElement(L, {g: PolyZ(c) for g, c in entry.items()}) == q_z_inv(
+        pbw_mul(q_z(x), q_z(y))
+    )
+
+
+@st.composite
+def z_dependent_pairs(draw):
+    L = draw(memo_algebras)
+    polys = st.dictionaries(st.integers(0, 2), nonzero_rationals, min_size=1, max_size=2)
+    return L, *(draw(elements(L, polys.map(PolyZ), max_degree=3)) for _ in range(2))
+
+
+@given(case=z_dependent_pairs())
+@settings(deadline=None)
+def test_star_pbw_is_the_bilinear_sum_of_monomial_products(case):
+    """The integer accumulation over several memo entries and z-shifts equals
+    the sum of the unit monomial products scaled by the coefficients."""
+    L, x, y = case
+    expected = SymElement.zero(L)
+    for alpha, ca in x.items():
+        for beta, cb in y.items():
+            unit = star_pbw(SymElement.monomial(L, alpha), SymElement.monomial(L, beta))
+            expected = expected + unit.scale(ca * cb)
+    assert star_pbw(x, y) == expected
 
 
 @st.composite

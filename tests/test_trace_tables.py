@@ -58,3 +58,25 @@ def test_memo_count_reads_the_one_context_per_algebra(layers, monkeypatch):
     entries = layers._star_memo_entries()
     assert isinstance(entries, int) and entries > 0
     assert entries == len(ctx.star_cache) + len(ctx.q_cache)
+
+
+@pytest.mark.parametrize("scale", [1, 3])
+def test_a_cold_star_product_runs_the_traced_star_path_once(monkeypatch, scale):
+    """The benchmark times ``q_z^{-1}`` as ``_Context.q_inv_raw`` and counts
+    memo hits at ``_Context.star_monomials``: a cold product of one pair, on
+    the unit path and the general path, goes through each exactly once."""
+    monkeypatch.setattr(pbw, "_contexts", {})
+    calls = {"star_monomials": 0, "q_inv_raw": 0}
+    for name in calls:
+        method = getattr(pbw._Context, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(pbw._Context, name, counted)
+    L = sl2()
+    x = SymElement.monomial(L, (1, 2, 0), scale)
+    y = SymElement.monomial(L, (0, 1, 2))
+    assert not pbw.star_pbw(x, y).is_zero
+    assert calls == {"star_monomials": 1, "q_inv_raw": 1}
