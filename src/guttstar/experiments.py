@@ -15,6 +15,18 @@ Constants are taken verbatim from the source results (32(|z|+1), 8e(|z|+1),
 16e^2(|z|+1), 2^R, the Bernoulli series constant); the harness tests their
 validity, not their tightness, and each check accepts an overriding constant
 so a deliberately falsified run can prove the harness is not vacuous.
+
+Each gridded estimate has one sweep (``cn_sweep``, ``product_sweep``,
+``linear_sweep``, ``nfold_sweep``, ``nilpotent_sweep``, ``weyl_sweep``,
+``hopf_sweep``) that takes its whole grid of R, z and central values and
+returns one report per grid point.  It loops over the inputs outside and the
+grid points inside, and does what no point changes once per input: the star
+product, the Weyl projection per central value, the z-evaluation per z, the
+coproduct and antipode, and the exact per-degree norms.  Each point's floats
+come from the same ``graded_term`` calls, in the same order, as a separate
+run at that point, so the rows and their order are unchanged.  Every
+``check_*`` function is its sweep at a single point, and nothing a sweep
+computes outlives the call.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .bch import bernoulli_star
-from .hopf import antipode, coproduct, tensor_pR, weyl_pR, weyl_project
+from .hopf import antipode, coproduct, tensor_sum, tensor_terms, weyl_project, weyl_terms
 from .liealg import (
     LieAlgebra,
     LieHom,
@@ -44,9 +56,11 @@ from .sym import (
     SymElement,
     asymptotic_estimate,
     factorial_power,
+    graded_sum,
     graded_term,
-    pR_norm,
     pn_norm,
+    pn_terms,
+    pR_norm,
     submultiplicative_scale,
 )
 from .zpoly import ONE
@@ -174,16 +188,41 @@ def _monomial(L: LieAlgebra, alpha: tuple[int, ...]) -> SymElement:
     return SymElement._raw(L, {alpha: ONE})
 
 
+def _norms(
+    p: Seminorm, points: Sequence[tuple[float, float]]
+) -> Callable[[SymElement], list[float]]:
+    """x -> [(s p)_R(x) for each (R, s) of points], reading x once."""
+
+    def norms(x: SymElement) -> list[float]:
+        terms = pn_terms(p, x)
+        return [graded_sum(terms, R, s) for R, s in points]
+
+    return norms
+
+
+def _distinct(values: list) -> tuple[list, list[int]]:
+    """The distinct values in first-seen order, and the index of each value
+    among them: a sweep works once per distinct z or central value and reads
+    the result by int index, since hashing a Fraction for every row is slow."""
+    distinct = list(dict.fromkeys(values))
+    return distinct, [distinct.index(v) for v in values]
+
+
+def _at_z(p: Seminorm, x: SymElement, zs: Sequence[Fraction]) -> list[list]:
+    """[pn_terms(p, x at z = z0) for z0 in zs]."""
+    return [pn_terms(p, x.evaluate_z(z0)) for z0 in zs]
+
+
 def _monomial_inputs(
-    L: LieAlgebra, max_degree: int, norm: Callable[[SymElement], float]
-) -> dict[tuple[int, ...], tuple[SymElement, float]]:
-    """{alpha: (xi^alpha, norm(xi^alpha))} for every monomial of degree at
+    L: LieAlgebra, max_degree: int, norms: Callable[[SymElement], list[float]]
+) -> dict[tuple[int, ...], tuple[SymElement, list[float]]]:
+    """{alpha: (xi^alpha, norms(xi^alpha))} for every monomial of degree at
     most max_degree, so that a sweep builds and measures each input once."""
     inputs = {}
     for k in range(max_degree + 1):
         for alpha in monomials_of_degree(L, k):
             x = _monomial(L, alpha)
-            inputs[alpha] = (x, norm(x))
+            inputs[alpha] = (x, norms(x))
     return inputs
 
 
@@ -207,9 +246,49 @@ def _random_vector(L: LieAlgebra, rng: random.Random) -> Vector:
             return v
 
 
+def _pair_inputs(L: LieAlgebra, max_total_degree: int, n_random: int, seed: int, norms):
+    """(x, norms(x), y, norms(y), tag) for every monomial pair up to
+    max_total_degree, then for n_random pairs of random elements."""
+    inputs = _monomial_inputs(L, max_total_degree, norms)
+    for alpha, beta in monomial_pairs(L, max_total_degree):
+        yield (*inputs[alpha], *inputs[beta], f"mono:{alpha}|{beta}")
+    rng = random.Random(seed)
+    for i in range(n_random):
+        x = _random_element(L, rng, max_degree=4)
+        y = _random_element(L, rng, max_degree=4)
+        yield x, norms(x), y, norms(y), f"rand:{i}"
+
+
 # ---------------------------------------------------------------------------
 # C_n and product continuity (general asymptotic-estimate route)
 # ---------------------------------------------------------------------------
+
+
+def cn_sweep(
+    L: LieAlgebra,
+    p: Seminorm,
+    Rs: Sequence[float],
+    max_total_degree: int = 8,
+    n_random: int = 100,
+    seed: int = 0,
+    constant: float = 32.0,
+) -> list[EstimateReport]:
+    """check_cn_estimate at each R of Rs, one report per R."""
+    q = asymptotic_estimate(L, p)
+    reports = [
+        EstimateReport("cn-estimate", f"R={R},deg<={max_total_degree},c={constant}")
+        for R in Rs
+    ]
+    norms = _norms(q, [(R, constant) for R in Rs])
+    for x, qx, y, qy, tag in _pair_inputs(L, max_total_degree, n_random, seed, norms):
+        product = star_pbw(x, y)
+        for n in range(1, max(x.max_degree + y.max_degree, 0)):
+            terms = pn_terms(p, product.z_coefficient(n))
+            params = f"{tag},n={n}"
+            for R, report, a, b in zip(Rs, reports, qx, qy):
+                rhs = factorial_power(n, 1.0 - R) / (2.0 * 8.0**n) * a * b
+                report.add(params, graded_sum(terms, R), rhs)
+    return reports
 
 
 def check_cn_estimate(
@@ -222,30 +301,32 @@ def check_cn_estimate(
     constant: float = 32.0,
 ) -> EstimateReport:
     """p_R(C_n(x,y)) <= n!^(1-R) / (2 * 8^n) * (32 q)_R(x) (32 q)_R(y), R >= 1."""
+    return cn_sweep(L, p, [R], max_total_degree, n_random, seed, constant)[0]
+
+
+def product_sweep(
+    L: LieAlgebra,
+    p: Seminorm,
+    grid: Sequence[tuple[float, Scalar]],
+    max_total_degree: int = 8,
+    n_random: int = 100,
+    seed: int = 0,
+    constant: float = 32.0,
+) -> list[EstimateReport]:
+    """check_product_estimate at each (R, z0) of grid, one report per point."""
+    grid = [(R, Fraction(z0)) for R, z0 in grid]
     q = asymptotic_estimate(L, p)
-    report = EstimateReport("cn-estimate", f"R={R},deg<={max_total_degree},c={constant}")
-    rng = random.Random(seed)
-
-    def norm(x: SymElement) -> float:
-        return pR_norm(q, R, x, scale=constant)
-
-    def record(x: SymElement, qx: float, y: SymElement, qy: float, tag: str) -> None:
-        product = star_pbw(x, y)
-        top = x.max_degree + y.max_degree
-        for n in range(1, max(top, 0)):
-            cn = product.z_coefficient(n)
-            lhs = pR_norm(p, R, cn)
-            rhs = factorial_power(n, 1.0 - R) / (2.0 * 8.0**n) * qx * qy
-            report.add(f"{tag},n={n}", lhs, rhs)
-
-    inputs = _monomial_inputs(L, max_total_degree, norm)
-    for alpha, beta in monomial_pairs(L, max_total_degree):
-        record(*inputs[alpha], *inputs[beta], f"mono:{alpha}|{beta}")
-    for i in range(n_random):
-        x = _random_element(L, rng, max_degree=4)
-        y = _random_element(L, rng, max_degree=4)
-        record(x, norm(x), y, norm(y), f"rand:{i}")
-    return report
+    reports = [
+        EstimateReport("product-estimate", f"R={R},z={z0},deg<={max_total_degree}")
+        for R, z0 in grid
+    ]
+    norms = _norms(q, [(R, constant * (abs(float(z0)) + 1.0)) for R, z0 in grid])
+    zs, zi = _distinct([z0 for _, z0 in grid])
+    for x, qx, y, qy, tag in _pair_inputs(L, max_total_degree, n_random, seed, norms):
+        terms = _at_z(p, star_pbw(x, y), zs)
+        for (R, _), i, report, a, b in zip(grid, zi, reports, qx, qy):
+            report.add(tag, graded_sum(terms[i], R), a * b)
+    return reports
 
 
 def check_product_estimate(
@@ -259,27 +340,7 @@ def check_product_estimate(
     constant: float = 32.0,
 ) -> EstimateReport:
     """p_R(x * y) <= (c q)_R(x) (c q)_R(y) with c = 32(|z|+1), R >= 1."""
-    z0 = Fraction(z0)
-    q = asymptotic_estimate(L, p)
-    c = constant * (abs(float(z0)) + 1.0)
-    report = EstimateReport("product-estimate", f"R={R},z={z0},deg<={max_total_degree}")
-    rng = random.Random(seed)
-
-    def norm(x: SymElement) -> float:
-        return pR_norm(q, R, x, scale=c)
-
-    def record(x: SymElement, qx: float, y: SymElement, qy: float, tag: str) -> None:
-        lhs = pR_norm(p, R, star_pbw(x, y).evaluate_z(z0))
-        report.add(tag, lhs, qx * qy)
-
-    inputs = _monomial_inputs(L, max_total_degree, norm)
-    for alpha, beta in monomial_pairs(L, max_total_degree):
-        record(*inputs[alpha], *inputs[beta], f"mono:{alpha}|{beta}")
-    for i in range(n_random):
-        x = _random_element(L, rng, max_degree=4)
-        y = _random_element(L, rng, max_degree=4)
-        record(x, norm(x), y, norm(y), f"rand:{i}")
-    return report
+    return product_sweep(L, p, [(R, z0)], max_total_degree, n_random, seed, constant)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +479,43 @@ def linear_factor_constant(R: float, z0: Scalar, terms: int = 120) -> float:
     raise ValueError("need |z| < 2*pi or R > 1")
 
 
+def linear_sweep(
+    L: LieAlgebra,
+    p: Seminorm,
+    grid: Sequence[tuple[float, Scalar]],
+    k_max: int = 8,
+    n_random: int = 100,
+    seed: int = 0,
+    constant: Optional[float] = None,
+) -> list[EstimateReport]:
+    """check_linear_estimate at each (R, z0) of grid, one report per point."""
+    grid = [(R, Fraction(z0)) for R, z0 in grid]
+    p_sub = p.scale(submultiplicative_scale(L, p))
+    cs = [linear_factor_constant(R, z0) if constant is None else constant for R, z0 in grid]
+    reports = [EstimateReport("linear-estimate", f"R={R},z={z0},k<={k_max}") for R, z0 in grid]
+    norms = _norms(p_sub, [(R, 1.0) for R, _ in grid])
+    zs, zi = _distinct([z0 for _, z0 in grid])
+    rng = random.Random(seed)
+
+    def linear(eta: Vector) -> tuple[SymElement, float]:
+        return SymElement.from_vector(L, eta), float(p_sub.vector_norm(eta))
+
+    def record(x: SymElement, px: list[float], y: SymElement, py: float, tag: str) -> None:
+        k = max(x.max_degree, 0)
+        terms = _at_z(p_sub, star_pbw(x, y), zs)
+        for (R, _), i, c, report, a in zip(grid, zi, cs, reports, px):
+            report.add(tag, graded_sum(terms[i], R), c * (k + 1.0) ** R * a * py)
+
+    etas = [linear(basis_vector(L, i)) for i in range(L.dim)]
+    for alpha, x_input in _monomial_inputs(L, k_max, norms).items():
+        for i, eta_input in enumerate(etas):
+            record(*x_input, *eta_input, f"mono:{alpha},eta={i}")
+    for i in range(n_random):
+        x = _random_element(L, rng, max_degree=min(k_max, 5))
+        record(x, norms(x), *linear(_random_vector(L, rng)), f"rand:{i}")
+    return reports
+
+
 def check_linear_estimate(
     L: LieAlgebra,
     p: Seminorm,
@@ -429,32 +527,7 @@ def check_linear_estimate(
     constant: Optional[float] = None,
 ) -> EstimateReport:
     """p_R(x * eta) <= c_{z,R} (k+1)^R p_R(x) p(eta) for submultiplicative p."""
-    z0 = Fraction(z0)
-    p_sub = p.scale(submultiplicative_scale(L, p))
-    c = linear_factor_constant(R, z0) if constant is None else constant
-    report = EstimateReport("linear-estimate", f"R={R},z={z0},k<={k_max}")
-    rng = random.Random(seed)
-
-    def norm(x: SymElement) -> float:
-        return pR_norm(p_sub, R, x)
-
-    def linear(eta: Vector) -> tuple[SymElement, float]:
-        return SymElement.from_vector(L, eta), float(p_sub.vector_norm(eta))
-
-    def record(x: SymElement, px: float, y: SymElement, py: float, tag: str) -> None:
-        k = max(x.max_degree, 0)
-        lhs = pR_norm(p_sub, R, star_pbw(x, y).evaluate_z(z0))
-        rhs = c * (k + 1.0) ** R * px * py
-        report.add(tag, lhs, rhs)
-
-    etas = [linear(basis_vector(L, i)) for i in range(L.dim)]
-    for alpha, x_input in _monomial_inputs(L, k_max, norm).items():
-        for i, eta_input in enumerate(etas):
-            record(*x_input, *eta_input, f"mono:{alpha},eta={i}")
-    for i in range(n_random):
-        x = _random_element(L, rng, max_degree=min(k_max, 5))
-        record(x, norm(x), *linear(_random_vector(L, rng)), f"rand:{i}")
-    return report
+    return linear_sweep(L, p, [(R, z0)], k_max, n_random, seed, constant)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +542,49 @@ def _star_fold(L: LieAlgebra, vectors: Sequence[Vector]) -> SymElement:
     return acc
 
 
+def _add_fold_rows(
+    reports, points, L: LieAlgebra, p: Seminorm, q: Seminorm, vectors: list[Vector], tag: str
+) -> None:
+    """One row p_R(xi_1 * ... * xi_n at z0) <= c^n n!^S q(xi_1)...q(xi_n)
+    per report, for its point (R, z0, c, S); the fold is taken once."""
+    n = len(vectors)
+    zs, zi = _distinct([z0 for _, z0, _, _ in points])
+    terms = _at_z(p, _star_fold(L, vectors), zs)
+    weights = [float(q.vector_norm(v)) for v in vectors]
+    for (R, _, c, S), i, report in zip(points, zi, reports):
+        rhs = c**n * factorial_power(n, S)
+        for w in weights:
+            rhs *= w
+        report.add(tag, graded_sum(terms[i], R), rhs)
+
+
+def nfold_sweep(
+    L: LieAlgebra,
+    p: Seminorm,
+    grid: Sequence[tuple[float, Scalar]],
+    n_max: int = 6,
+    n_random: int = 50,
+    seed: int = 0,
+    constant: Optional[float] = None,
+) -> list[EstimateReport]:
+    """check_nfold_estimate at each (R, z0) of grid, one report per point."""
+    grid = [(R, Fraction(z0)) for R, z0 in grid]
+    q = asymptotic_estimate(L, p)
+    points = [
+        (R, z0, 8.0 * math.e * (abs(float(z0)) + 1.0) if constant is None else constant, R)
+        for R, z0 in grid
+    ]
+    reports = [EstimateReport("nfold-estimate", f"R={R},z={z0},n<={n_max}") for R, z0 in grid]
+    rng = random.Random(seed)
+    for n in range(1, n_max + 1):
+        for trial in range(max(1, n_random // n_max)):
+            vectors = [basis_vector(L, rng.randrange(L.dim)) for _ in range(n)]
+            _add_fold_rows(reports, points, L, p, q, vectors, f"basis:n={n},t={trial}")
+        vectors = [_random_vector(L, rng) for _ in range(n)]
+        _add_fold_rows(reports, points, L, p, q, vectors, f"rand:n={n}")
+    return reports
+
+
 def check_nfold_estimate(
     L: LieAlgebra,
     p: Seminorm,
@@ -480,31 +596,69 @@ def check_nfold_estimate(
     constant: Optional[float] = None,
 ) -> EstimateReport:
     """p_R(xi_1 * ... * xi_n) <= c^n n!^R q(xi_1)...q(xi_n), c = 8e(|z|+1)."""
-    z0 = Fraction(z0)
-    q = asymptotic_estimate(L, p)
-    c = 8.0 * math.e * (abs(float(z0)) + 1.0) if constant is None else constant
-    report = EstimateReport("nfold-estimate", f"R={R},z={z0},n<={n_max}")
-    rng = random.Random(seed)
-
-    def record(vectors: list[Vector], tag: str) -> None:
-        n = len(vectors)
-        lhs = pR_norm(p, R, _star_fold(L, vectors).evaluate_z(z0))
-        rhs = c**n * factorial_power(n, R)
-        for v in vectors:
-            rhs *= float(q.vector_norm(v))
-        report.add(tag, lhs, rhs)
-
-    for n in range(1, n_max + 1):
-        for trial in range(max(1, n_random // n_max)):
-            vectors = [basis_vector(L, rng.randrange(L.dim)) for _ in range(n)]
-            record(vectors, f"basis:n={n},t={trial}")
-        record([_random_vector(L, rng) for _ in range(n)], f"rand:n={n}")
-    return report
+    return nfold_sweep(L, p, [(R, z0)], n_max, n_random, seed, constant)[0]
 
 
 # ---------------------------------------------------------------------------
 # nilpotent refinements
 # ---------------------------------------------------------------------------
+
+
+def nilpotent_sweep(
+    L: LieAlgebra,
+    p: Seminorm,
+    grid: Sequence[tuple[float, Scalar]],
+    max_total_degree: int = 8,
+    n_random: int = 50,
+    seed: int = 0,
+    constant: Optional[float] = None,
+) -> list[EstimateReport]:
+    """check_nilpotent_estimates at each (R, z0) of grid, one report per point."""
+    if not all(0 <= R < 1 for R, _ in grid):
+        raise ValueError("the nilpotent refinement is for 0 <= R < 1")
+    N = nilpotency_index(L)
+    if N is None:
+        raise ValueError("algebra is not nilpotent")
+    grid = [(R, Fraction(z0)) for R, z0 in grid]
+    epss = [(N - 1) / N * (1.0 - R) for R, _ in grid]
+    q = asymptotic_estimate(L, p)
+    c_cn = 32.0 * math.e if constant is None else constant
+    c_folds = [
+        16.0 * math.e**2 * (abs(float(z0)) + 1.0) if constant is None else constant
+        for _, z0 in grid
+    ]
+    points = [(R, z0, c, R + eps) for (R, z0), c, eps in zip(grid, c_folds, epss)]
+    reports = [
+        EstimateReport("nilpotent-estimate", f"R={R},z={z0},N={N},eps={eps:.4g}")
+        for (R, z0), eps in zip(grid, epss)
+    ]
+    rng = random.Random(seed)
+
+    inputs = _monomial_inputs(
+        L, max_total_degree, _norms(q, [(R + eps, c_cn) for (R, _), eps in zip(grid, epss)])
+    )
+    for alpha, beta in monomial_pairs(L, max_total_degree):
+        k, l = sum(alpha), sum(beta)
+        if k + l == 0:
+            continue
+        (x, qx), (y, qy) = inputs[alpha], inputs[beta]
+        product = star_pbw(x, y)
+        cutoff = (k + l) * (N - 1) / N
+        for n in range(1, k + l):
+            cn = product.z_coefficient(n)
+            terms = pn_terms(p, cn)
+            vanish = 0.0 if cn.is_zero else 1.0
+            tag = f"{alpha}|{beta},n={n}"
+            for (R, _), report, a, b in zip(grid, reports, qx, qy):
+                if n > cutoff:
+                    report.add(f"vanish:{tag}", vanish, 0.0)
+                report.add(f"cn:{tag}", graded_sum(terms, R), a * b / (2.0 * 8.0**n))
+
+    for n in range(1, 7):
+        for trial in range(max(1, n_random // 6)):
+            vectors = [basis_vector(L, rng.randrange(L.dim)) for _ in range(n)]
+            _add_fold_rows(reports, points, L, p, q, vectors, f"fold:n={n},t={trial}")
+    return reports
 
 
 def check_nilpotent_estimates(
@@ -520,50 +674,7 @@ def check_nilpotent_estimates(
     """Nilpotent C_n bound with shifted exponent R+eps, the matching n-fold
     bound with c = 16 e^2 (|z|+1), and the structural vanishing of C_n above
     the degree bound n > (k+l)(N-1)/N."""
-    if not 0 <= R < 1:
-        raise ValueError("the nilpotent refinement is for 0 <= R < 1")
-    N = nilpotency_index(L)
-    if N is None:
-        raise ValueError("algebra is not nilpotent")
-    z0 = Fraction(z0)
-    eps = (N - 1) / N * (1.0 - R)
-    q = asymptotic_estimate(L, p)
-    c_cn = 32.0 * math.e if constant is None else constant
-    c_fold = 16.0 * math.e**2 * (abs(float(z0)) + 1.0) if constant is None else constant
-    report = EstimateReport(
-        "nilpotent-estimate", f"R={R},z={z0},N={N},eps={eps:.4g}"
-    )
-    rng = random.Random(seed)
-
-    inputs = _monomial_inputs(
-        L, max_total_degree, lambda x: pR_norm(q, R + eps, x, scale=c_cn)
-    )
-    for alpha, beta in monomial_pairs(L, max_total_degree):
-        k, l = sum(alpha), sum(beta)
-        if k + l == 0:
-            continue
-        (x, qx), (y, qy) = inputs[alpha], inputs[beta]
-        product = star_pbw(x, y)
-        cutoff = (k + l) * (N - 1) / N
-        for n in range(1, k + l):
-            cn = product.z_coefficient(n)
-            if n > cutoff:
-                report.add(
-                    f"vanish:{alpha}|{beta},n={n}", 0.0 if cn.is_zero else 1.0, 0.0
-                )
-            lhs = pR_norm(p, R, cn)
-            rhs = qx * qy / (2.0 * 8.0**n)
-            report.add(f"cn:{alpha}|{beta},n={n}", lhs, rhs)
-
-    for n in range(1, 7):
-        for trial in range(max(1, n_random // 6)):
-            vectors = [basis_vector(L, rng.randrange(L.dim)) for _ in range(n)]
-            lhs = pR_norm(p, R, _star_fold(L, vectors).evaluate_z(z0))
-            rhs = c_fold**n * factorial_power(n, R + eps)
-            for v in vectors:
-                rhs *= float(q.vector_norm(v))
-            report.add(f"fold:n={n},t={trial}", lhs, rhs)
-    return report
+    return nilpotent_sweep(L, p, [(R, z0)], max_total_degree, n_random, seed, constant)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +771,42 @@ def functoriality_check(
 # ---------------------------------------------------------------------------
 
 
+def weyl_sweep(
+    grid: Sequence[tuple[float, Scalar, Scalar]],
+    max_factor_degree: int = 4,
+    constant: Optional[float] = None,
+) -> list[EstimateReport]:
+    """check_weyl_estimate at each (R, z0, central) of grid, one report per
+    point; each product is projected once per central value."""
+    if any(R < 0.5 for R, _, _ in grid):
+        raise ValueError("the quotient bound needs R >= 1/2")
+    grid = [(R, Fraction(z0), Fraction(central)) for R, z0, central in grid]
+    L = heisenberg()
+    p = Seminorm.ell1(L)
+    scales = [
+        8.0 * (abs(float(z0)) + 1.0) * (abs(float(central)) + 1.0)
+        if constant is None
+        else constant
+        for _, z0, central in grid
+    ]
+    reports = [
+        EstimateReport("weyl-estimate", f"R={R},z={z0},c0={central}") for R, z0, central in grid
+    ]
+    norms = _norms(p, [(R, c) for (R, _, _), c in zip(grid, scales)])
+    inputs = _monomial_inputs(L, max_factor_degree, norms)
+    pairs, pi = _distinct([(z0, central) for _, z0, central in grid])
+    centrals, ci = _distinct([central for _, central in pairs])
+    for alpha, beta in monomial_pairs(L, 2 * max_factor_degree, max_factor_degree):
+        (x, px), (y, py) = inputs[alpha], inputs[beta]
+        product = star_pbw(x, y)
+        projected = [weyl_project(product, c0) for c0 in centrals]
+        terms = [weyl_terms(p, projected[j].evaluate_z(z0)) for (z0, _), j in zip(pairs, ci)]
+        params = f"mono:{alpha}|{beta}"
+        for (R, _, _), i, report, a, b in zip(grid, pi, reports, px, py):
+            report.add(params, graded_sum(terms[i], R), a * b)
+    return reports
+
+
 def check_weyl_estimate(
     z0: Scalar,
     central: Scalar,
@@ -669,27 +816,7 @@ def check_weyl_estimate(
 ) -> EstimateReport:
     """p_R(pi(x * y)) <= (c p)_R(x) (c p)_R(y), c = 8(|z|+1)(|c|+1), R >= 1/2,
     with equal weights on P, Q, E."""
-    if R < 0.5:
-        raise ValueError("the quotient bound needs R >= 1/2")
-    z0 = Fraction(z0)
-    central = Fraction(central)
-    L = heisenberg()
-    p = Seminorm.ell1(L)
-    c = (
-        8.0 * (abs(float(z0)) + 1.0) * (abs(float(central)) + 1.0)
-        if constant is None
-        else constant
-    )
-    report = EstimateReport("weyl-estimate", f"R={R},z={z0},c0={central}")
-    inputs = _monomial_inputs(
-        L, max_factor_degree, lambda x: pR_norm(p, R, x, scale=c)
-    )
-    for alpha, beta in monomial_pairs(L, 2 * max_factor_degree, max_factor_degree):
-        (x, px), (y, py) = inputs[alpha], inputs[beta]
-        projected = weyl_project(star_pbw(x, y), central).evaluate_z(z0)
-        lhs = weyl_pR(p, R, projected)
-        report.add(f"mono:{alpha}|{beta}", lhs, px * py)
-    return report
+    return weyl_sweep([(R, z0, central)], max_factor_degree, constant)[0]
 
 
 def standard_homs() -> list[tuple[str, LieHom]]:
@@ -772,18 +899,10 @@ def run_experiment(
     reports: list[EstimateReport] = []
 
     if name == "cn-estimate":
-        for R in Rs:
-            reports.append(
-                check_cn_estimate(L, p, R, max_total_degree=max_degree, seed=seed)
-            )
+        reports = cn_sweep(L, p, Rs, max_total_degree=max_degree, seed=seed)
     elif name == "product-estimate":
-        for R in Rs:
-            for z0 in zs:
-                reports.append(
-                    check_product_estimate(
-                        L, p, R, z0, max_total_degree=max_degree, seed=seed
-                    )
-                )
+        grid = [(R, z0) for R in Rs for z0 in zs]
+        reports = product_sweep(L, p, grid, max_total_degree=max_degree, seed=seed)
     elif name == "heisenberg-growth":
         if eps is not None:
             z_growth = tuple(z_list) if z_list else (Fraction(1),)
@@ -793,25 +912,14 @@ def run_experiment(
         for R, e, z0 in grid:
             reports.append(heisenberg_growth(R, e, k_max, z0).as_report())
     elif name == "linear-estimate":
-        for R in Rs:
-            for z0 in zs:
-                if abs(float(z0)) >= 2.0 * math.pi and R <= 1:
-                    continue  # outside the lemma's parameter domain
-                reports.append(
-                    check_linear_estimate(L, p, R, z0, k_max=min(k_max, 8), seed=seed)
-                )
+        # points outside the lemma's parameter domain are left out
+        grid = [(R, z0) for R in Rs for z0 in zs if abs(float(z0)) < 2.0 * math.pi or R > 1]
+        reports = linear_sweep(L, p, grid, k_max=min(k_max, 8), seed=seed) if grid else []
     elif name == "nfold-estimate":
-        for R in Rs:
-            for z0 in zs:
-                reports.append(check_nfold_estimate(L, p, R, z0, seed=seed))
+        reports = nfold_sweep(L, p, [(R, z0) for R in Rs for z0 in zs], seed=seed)
     elif name == "nilpotent-estimate":
-        for R in Rs:
-            for z0 in zs:
-                reports.append(
-                    check_nilpotent_estimates(
-                        L, p, R, z0, max_total_degree=max_degree, seed=seed
-                    )
-                )
+        grid = [(R, z0) for R in Rs for z0 in zs]
+        reports = nilpotent_sweep(L, p, grid, max_total_degree=max_degree, seed=seed)
     elif name == "no-exp":
         xi = basis_vector(L, 0)
         for R in Rs:
@@ -844,15 +952,40 @@ def run_experiment(
                     report.estimate_id = f"functorial:{tag}"
                     reports.append(report)
     elif name == "weyl-estimate":
-        for R in Rs:
-            for z0 in zs:
-                for central in (Fraction(1), Fraction(-2)):
-                    reports.append(check_weyl_estimate(z0, central, R=R))
+        reports = weyl_sweep(
+            [(R, z0, central) for R in Rs for z0 in zs for central in (Fraction(1), Fraction(-2))]
+        )
     elif name == "hopf-estimate":
-        for R in Rs:
-            reports.append(
-                check_hopf_estimates(L, p, R, max_degree=max_degree, seed=seed)
-            )
+        reports = hopf_sweep(L, p, Rs, max_degree=max_degree, seed=seed)
+    return reports
+
+
+def hopf_sweep(
+    L: LieAlgebra,
+    p: Seminorm,
+    Rs: Sequence[float],
+    max_degree: int = 8,
+    n_random: int = 60,
+    seed: int = 0,
+    constant: float = 2.0,
+) -> list[EstimateReport]:
+    """check_hopf_estimates at each R of Rs, one report per R."""
+    rng = random.Random(seed)
+    reports = [EstimateReport("hopf-estimate", f"R={R},deg<={max_degree}") for R in Rs]
+
+    def record(x: SymElement, tag: str) -> None:
+        base = pn_terms(p, x)
+        flipped = pn_terms(p, antipode(x))
+        split = tensor_terms(p, coproduct(x))
+        for R, report in zip(Rs, reports):
+            report.add(f"antipode:{tag}", graded_sum(flipped, R), graded_sum(base, R))
+            report.add(f"coproduct:{tag}", tensor_sum(split, R), graded_sum(base, R, constant))
+
+    for degree in range(max_degree + 1):
+        for alpha in monomials_of_degree(L, degree):
+            record(_monomial(L, alpha), f"mono:{alpha}")
+    for i in range(n_random):
+        record(_random_element(L, rng, max_degree=min(max_degree, 5)), f"rand:{i}")
     return reports
 
 
@@ -867,21 +1000,4 @@ def check_hopf_estimates(
 ) -> EstimateReport:
     """Antipode contraction p_R(S(x)) <= p_R(x) and the coproduct bound
     (p_R x p_R)(Delta(x)) <= (2p)_R(x)."""
-    rng = random.Random(seed)
-    report = EstimateReport("hopf-estimate", f"R={R},deg<={max_degree}")
-
-    def record(x: SymElement, tag: str) -> None:
-        base = pR_norm(p, R, x)
-        report.add(f"antipode:{tag}", pR_norm(p, R, antipode(x)), base)
-        report.add(
-            f"coproduct:{tag}",
-            tensor_pR(p, R, coproduct(x)),
-            pR_norm(p, R, x, scale=constant),
-        )
-
-    for degree in range(max_degree + 1):
-        for alpha in monomials_of_degree(L, degree):
-            record(_monomial(L, alpha), f"mono:{alpha}")
-    for i in range(n_random):
-        record(_random_element(L, rng, max_degree=min(max_degree, 5)), f"rand:{i}")
-    return report
+    return hopf_sweep(L, p, [R], max_degree, n_random, seed, constant)[0]

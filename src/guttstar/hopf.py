@@ -22,6 +22,7 @@ from .sym import (
     RLike,
     Seminorm,
     SymElement,
+    graded_sum,
     graded_term,
     weight_ratio,
     weight_ratios,
@@ -218,11 +219,12 @@ def _triple_right(t: SymTensorElement) -> dict:
 def antipode_convolution(x: SymElement) -> SymElement:
     """mu_star (S (x) id) Delta(x); equals eta(eps(x)) when the antipode law holds."""
     L = x.algebra
-    out = SymElement.zero(L)
+    out: dict[MultiIndex, dict] = {}
     for (a, b), c in coproduct(x).items():
         term = star_pbw(antipode(SymElement.monomial(L, a)), SymElement.monomial(L, b))
-        out = out + term.scale(c)
-    return out
+        for alpha, t in term.items():
+            zp_accumulate(out, alpha, c._c, t._c)
+    return SymElement._raw(L, {k: PolyZ._raw(v) for k, v in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +321,31 @@ def verify_hopf(L: LieAlgebra, max_degree: int, seed: int = 0, samples: int = 4)
     return report
 
 
-def tensor_pR(p: Seminorm, R: RLike, t: SymTensorElement, scale: float = 1.0) -> float:
-    """(scale*p)_R (x) (scale*p)_R of a tensor, exact for weighted l1 norms."""
+def tensor_terms(p: Seminorm, t: SymTensorElement) -> list[tuple[int, Fraction, int]]:
+    """The (|a|, |c| w^a w^b, |b|) triple of each term c xi^a (x) xi^b of t,
+    in the order of t, for tensor_sum."""
     nums, dens = weight_ratios(p)
-    total = 0.0
+    out = []
     for (a, b), c in t.items():
         if not c.is_constant:
             raise ValueError("tensor norm needs z-constant coefficients")
         na, an, ad = weight_ratio(c.coeff(0), a, nums, dens)
         nb, bn, bd = weight_ratio(1, b, nums, dens)
-        weight = Fraction(an * bn, ad * bd)
+        out.append((na, Fraction(an * bn, ad * bd), nb))
+    return out
+
+
+def tensor_sum(terms: list[tuple[int, Fraction, int]], R: RLike, scale: float = 1.0) -> float:
+    """(scale*p)_R (x) (scale*p)_R from the tensor_terms of a tensor."""
+    total = 0.0
+    for na, weight, nb in terms:
         total += graded_term(nb, R, Fraction(1), scale) * graded_term(na, R, weight, scale)
     return total
+
+
+def tensor_pR(p: Seminorm, R: RLike, t: SymTensorElement, scale: float = 1.0) -> float:
+    """(scale*p)_R (x) (scale*p)_R of a tensor, exact for weighted l1 norms."""
+    return tensor_sum(tensor_terms(p, t), R, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +476,19 @@ def weyl_mul(L: LieAlgebra, a: WeylElement, b: WeylElement) -> WeylElement:
     return weyl_project(star_pbw(weyl_lift(L, a), weyl_lift(L, b)), a.central)
 
 
-def weyl_pR(p: Seminorm, R: RLike, w: WeylElement, scale: float = 1.0) -> float:
-    """(scale*p)_R of a Weyl element in its Q^k P^l normal form."""
+def weyl_terms(p: Seminorm, w: WeylElement) -> list[tuple[int, Fraction]]:
+    """The (degree, |c| w^alpha) pair of each term of w, in the order of w,
+    for sym.graded_sum."""
     nums, dens = weight_ratios(p)
-    total = 0.0
+    out = []
     for (k, l), c in w.items():
         if not c.is_constant:
             raise ValueError("norm needs z-constant coefficients; evaluate_z first")
         n, num, den = weight_ratio(c.coeff(0), (l, k), nums, dens)  # P^l Q^k
-        total += graded_term(n, R, Fraction(num, den), scale)
-    return total
+        out.append((n, Fraction(num, den)))
+    return out
+
+
+def weyl_pR(p: Seminorm, R: RLike, w: WeylElement, scale: float = 1.0) -> float:
+    """(scale*p)_R of a Weyl element in its Q^k P^l normal form."""
+    return graded_sum(weyl_terms(p, w), R, scale)

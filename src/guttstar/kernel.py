@@ -86,9 +86,21 @@ class PbwKernel:
         return out
 
     def word_mul(self, u, v):
-        """Normal form of the product of a word u and a sorted word v."""
-        if (not u or not v or u[-1] <= v[0]) and list(u) == sorted(u):
+        """Normal form of the product of two sorted words u and v.
+
+        u must be sorted: the concatenation shortcut trusts it unchecked
+        (``normal_order`` takes an arbitrary word)."""
+        if not u or not v or u[-1] <= v[0]:
             return {(u + v, 0): 1}  # concatenation already sorted
+        return self._fold(u, v)
+
+    def normal_order(self, word):
+        """Normal form of an arbitrary word."""
+        return self._fold(word, ())
+
+    def _fold(self, u, v):
+        """Normal form of u * v for any word u and a sorted word v, one
+        letter of u at a time from the right through ``insert``."""
         result = {(v, 0): 1}
         for letter in reversed(u):
             nxt = {}
@@ -96,7 +108,3 @@ class PbwKernel:
                 add_scaled(nxt, self.insert(letter, w), c, e)
             result = nxt
         return result
-
-    def normal_order(self, word):
-        """Normal form of an arbitrary word."""
-        return self.word_mul(word, ())

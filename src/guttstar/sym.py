@@ -381,18 +381,30 @@ def pn_norm(p: Seminorm, x: SymElement) -> Fraction:
     return sum(pn_by_degree(p, x).values(), Fraction(0))
 
 
+def pn_terms(p: Seminorm, x: SymElement) -> list[tuple[int, Fraction]]:
+    """The (n, p^n(x_n)) pairs of x by increasing degree, for graded_sum."""
+    return sorted(pn_by_degree(p, x).items())
+
+
+def graded_sum(
+    terms: Iterable[tuple[int, Fraction]], R: RLike, scale: float = 1.0
+) -> float:
+    """sum of graded_term(n, R, part, scale) over (n, part), left to right."""
+    total = 0.0
+    for n, part in terms:
+        total += graded_term(n, R, part, scale)
+    return total
+
+
 def pR_norm(p: Seminorm, R: RLike, x: SymElement, scale: float = 1.0) -> float:
     """(scale*p)_R(x) = sum_n scale^n n!^R p^n(x_n), in floating point.
 
     The scale factor is applied through the degree-homogeneity identity
     (c p)^n = c^n p^n, so irrational scales (2^R, 8e(|z|+1), ...) stay exact
-    until the final float conversion.
+    until the final float conversion.  A caller that needs x at several
+    (R, scale) keeps pn_terms(p, x) and calls graded_sum on it.
     """
-    parts = pn_by_degree(p, x)
-    total = 0.0
-    for n in sorted(parts):
-        total += graded_term(n, R, parts[n], scale)
-    return total
+    return graded_sum(pn_terms(p, x), R, scale)
 
 
 def pR_norm_exact(p: Seminorm, R: int, x: SymElement) -> Fraction:

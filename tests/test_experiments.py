@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import math
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import guttstar.experiments as ex
-from guttstar.liealg import basis_vector, heisenberg, sl2
+from guttstar.liealg import basis_vector, filiform4, heisenberg, sl2
 from guttstar.sym import Seminorm
 
 
@@ -214,6 +215,120 @@ def test_default_sweeps_keep_their_rows():
                 rows += 1
     assert rows == SWEEP_ROWS
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+WEIGHTS = (Fraction(2), Fraction(1, 3), Fraction(5, 2))
+
+
+def _point_reports(name, L, p, Rs, zs, max_degree, k_max, seed):
+    """The one-point check_* call at each point of run_experiment's grid."""
+    grid = [(R, z0) for R in Rs for z0 in zs]
+    if name == "cn-estimate":
+        return [ex.check_cn_estimate(L, p, R, max_total_degree=max_degree, seed=seed) for R in Rs]
+    if name == "product-estimate":
+        return [
+            ex.check_product_estimate(L, p, R, z0, max_total_degree=max_degree, seed=seed)
+            for R, z0 in grid
+        ]
+    if name == "linear-estimate":
+        return [
+            ex.check_linear_estimate(L, p, R, z0, k_max=k_max, seed=seed)
+            for R, z0 in grid
+            if abs(z0) < 2 * math.pi or R > 1
+        ]
+    if name == "nfold-estimate":
+        return [ex.check_nfold_estimate(L, p, R, z0, seed=seed) for R, z0 in grid]
+    if name == "nilpotent-estimate":
+        return [
+            ex.check_nilpotent_estimates(L, p, R, z0, max_total_degree=max_degree, seed=seed)
+            for R, z0 in grid
+        ]
+    if name == "weyl-estimate":
+        return [ex.check_weyl_estimate(z0, c0, R=R) for R, z0 in grid for c0 in (1, -2)]
+    assert name == "hopf-estimate"
+    return [ex.check_hopf_estimates(L, p, R, max_degree=max_degree, seed=seed) for R in Rs]
+
+
+def _report_rows(reports):
+    return [
+        (r.estimate_id, r.grid, [(row.params, repr(row.lhs), repr(row.rhs)) for row in r.rows])
+        for r in reports
+    ]
+
+
+# (experiment, algebra, weights, R_list, z_list); every grid repeats a point
+GRID_CASES = [
+    ("cn-estimate", heisenberg(), WEIGHTS, [1.0, 1.5, 1.0], [Fraction(1)]),
+    ("cn-estimate", sl2(), None, [2.0, 1.0, 2.0], [Fraction(1)]),
+    ("product-estimate", heisenberg(), WEIGHTS, [1.0, 2.0], [Fraction(1), Fraction(1), Fraction(-2)]),
+    ("product-estimate", sl2(), None, [1.5, 1.5], [Fraction(0), Fraction(1, 2)]),
+    ("linear-estimate", heisenberg(), WEIGHTS, [1.0, 2.0], [Fraction(1), Fraction(7), Fraction(1)]),
+    ("nfold-estimate", heisenberg(), WEIGHTS, [1.0, 1.0], [Fraction(1), Fraction(-2)]),
+    ("nilpotent-estimate", heisenberg(), WEIGHTS, [0.5, 0.0, 0.5], [Fraction(1), Fraction(1)]),
+    ("nilpotent-estimate", filiform4(), None, [0.0, 0.9], [Fraction(1), Fraction(-2), Fraction(1)]),
+    ("weyl-estimate", heisenberg(), None, [0.5, 1.0], [Fraction(1), Fraction(1)]),
+    ("hopf-estimate", heisenberg(), WEIGHTS, [0.5, 2.0, 0.5], [Fraction(1)]),
+]
+
+
+@pytest.mark.parametrize("name,L,weights,Rs,zs", GRID_CASES)
+def test_sweep_reports_equal_one_point_checks(name, L, weights, Rs, zs):
+    """A sweep over the whole grid gives, point by point and in order, the
+    reports of the one-point check_* calls; a repeated point repeats its report."""
+    got = ex.run_experiment(
+        name, algebra=L, weights=weights, R_list=Rs, z_list=zs, max_degree=3, k_max=3, seed=5
+    )
+    p = Seminorm.ell1(L, weights)
+    want = _point_reports(name, L, p, Rs, zs, max_degree=3, k_max=3, seed=5)
+    assert _report_rows(got) == _report_rows(want)
+    grids = [r.grid for r in got]
+    assert len(set(grids)) < len(grids)
+    for report in got:
+        assert report.rows
+        assert _report_rows([report]) == _report_rows([got[grids.index(report.grid)]])
+
+
+@pytest.mark.parametrize(
+    "sweep,args",
+    [
+        (ex.cn_sweep, (heisenberg(), Seminorm.ell1(heisenberg()), [1.0, 1.5, 2.0], 4, 0)),
+        (ex.product_sweep, (heisenberg(), Seminorm.ell1(heisenberg()), [(1.0, 0), (2.0, 1), (1.5, -2)], 4, 0)),
+        (ex.linear_sweep, (heisenberg(), Seminorm.ell1(heisenberg()), [(1.0, 1), (2.0, 7)], 4, 0)),
+        (ex.nfold_sweep, (heisenberg(), Seminorm.ell1(heisenberg()), [(1.0, 1), (1.5, -2)])),
+        (ex.nilpotent_sweep, (filiform4(), Seminorm.ell1(filiform4()), [(0.0, 1), (0.9, -2)], 3)),
+        (ex.weyl_sweep, ([(0.5, 1, 1), (1.0, -2, -2)], 3)),
+        (ex.hopf_sweep, (heisenberg(), Seminorm.ell1(heisenberg()), [0.5, 1.0, 2.0], 3, 0)),
+    ],
+)
+def test_falsified_constant_fails_at_every_grid_point(sweep, args):
+    """The norms shared across a sweep's grid keep each point's own bound:
+    a constant of 1/4 fails every report, not only the first."""
+    reports = sweep(*args, constant=0.25)
+    assert len(reports) > 1
+    assert all(report.failures() for report in reports)
+
+
+def test_sweeps_do_grid_invariant_work_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ex, "weyl_project", counted("weyl_project", ex.weyl_project))
+    monkeypatch.setattr(ex, "star_pbw", counted("star_pbw", ex.star_pbw))
+    pairs = len(list(ex.monomial_pairs(heisenberg(), 8, 4)))
+    assert len(ex.run_experiment("weyl-estimate", max_degree=4)) == 8
+    # once per (pair, central), over two R and two z
+    assert calls == {"weyl_project": 2 * pairs, "star_pbw": pairs}
+
+    calls.clear()
+    assert len(ex.run_experiment("product-estimate", max_degree=3)) == 9
+    # once per input pair: every monomial pair, then the 100 random pairs
+    assert calls == {"star_pbw": len(list(ex.monomial_pairs(heisenberg(), 3))) + 100}
 
 
 @pytest.mark.parametrize("L", [heisenberg(), sl2()])
