@@ -618,8 +618,7 @@ def star_bch_elements(x: SymElement, y: SymElement) -> SymElement:
     monomial pairs that share a direction share its product; the weighted
     parts are summed on ints into one element.
     """
-    if x.algebra != y.algebra:
-        raise ValueError("elements live over different algebras")
+    x._require_same(y)
     if not (x.is_z_constant and y.is_z_constant):
         raise ValueError("the BCH route needs z-constant inputs")
     L = x.algebra
@@ -789,4 +788,4 @@ def one_parameter_check(
 
 
 def _truncate(x: SymElement, order: int) -> SymElement:
-    return SymElement(x.algebra, {a: c for a, c in x.items() if sum(a) <= order})
+    return SymElement._raw(x.algebra, {a: c for a, c in x.items() if sum(a) <= order})

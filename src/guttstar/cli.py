@@ -27,7 +27,7 @@ from .exprs import ExprError, format_element, parse_element
 from .hopf import verify_hopf
 from .liealg import LieAlgebra, heisenberg, load_algebra, nilpotency_index
 from .pbw import star, star_pbw
-from .sym import SymElement, sym_mul
+from .sym import SymElement, random_element, sym_mul
 
 VERIFY_SUITES = ("assoc", "hopf", "appendix", "bch", "nilpotent", "all")
 # total degree limit of `mul` on the pbw and graded routes: at 30 a product of
@@ -140,8 +140,6 @@ def cmd_mul(args) -> int:
 
 
 def _suite_assoc(algebra: LieAlgebra, max_degree: int, seed: int):
-    from .hopf import random_element
-
     rng = random.Random(seed)
     unit = SymElement.unit(algebra)
     per_factor = max(1, max_degree // 3)

@@ -13,20 +13,20 @@ the worst finite lhs/rhs ratio of its report and where it occurred.
 
 Constants are taken verbatim from the source results (32(|z|+1), 8e(|z|+1),
 16e^2(|z|+1), 2^R, the Bernoulli series constant); the harness tests their
-validity, not their tightness, and each check accepts an overriding constant
-so a deliberately falsified run can prove the harness is not vacuous.
+validity, not their tightness, and each estimate sweep accepts an overriding
+constant so a deliberately falsified run can prove the harness is not vacuous.
 
 Each gridded estimate has one sweep (``cn_sweep``, ``product_sweep``,
-``linear_sweep``, ``nfold_sweep``, ``nilpotent_sweep``, ``weyl_sweep``,
-``hopf_sweep``) that takes its whole grid of R, z and central values and
-returns one report per grid point.  It loops over the inputs outside and the
-grid points inside, and does what no point changes once per input: the star
-product, the Weyl projection per central value, the z-evaluation per z, the
-coproduct and antipode, and the exact per-degree norms.  Each point's floats
-come from the same ``graded_term`` calls, in the same order, as a separate
-run at that point, so the rows and their order are unchanged.  Every
-``check_*`` function is its sweep at a single point, and nothing a sweep
-computes outlives the call.
+``linear_sweep``, ``nfold_sweep``, ``nilpotent_sweep``, ``functorial_sweep``,
+``weyl_sweep``, ``hopf_sweep``) that takes its whole grid of R, z and central
+values and returns one report per grid point.  It loops over the inputs
+outside and the grid points inside, and does what no point changes once per
+input: the star product, the exact morphism identity, the Weyl projection per
+central value, the z-evaluation per z, the coproduct and antipode, and the
+exact per-degree norms.  Each point's floats come from the same
+``graded_term`` calls, in the same order, as a separate run at that point,
+so the rows and their order are unchanged.  A single point is a one-point
+grid, and nothing a sweep computes outlives the call.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .sym import (
     pn_norm,
     pn_terms,
     pR_norm,
+    random_element,
     submultiplicative_scale,
 )
 from .zpoly import ONE
@@ -226,17 +227,6 @@ def _monomial_inputs(
     return inputs
 
 
-def _random_element(L: LieAlgebra, rng: random.Random, max_degree: int, terms: int = 3) -> SymElement:
-    data = {}
-    for _ in range(terms):
-        alpha = [0] * L.dim
-        for _ in range(rng.randint(0, max_degree)):
-            alpha[rng.randrange(L.dim)] += 1
-        num = rng.randint(-9, 9) or 1
-        data[tuple(alpha)] = Fraction(num, rng.randint(1, 9))
-    return SymElement(L, data)
-
-
 def _random_vector(L: LieAlgebra, rng: random.Random) -> Vector:
     while True:
         v = tuple(
@@ -254,8 +244,8 @@ def _pair_inputs(L: LieAlgebra, max_total_degree: int, n_random: int, seed: int,
         yield (*inputs[alpha], *inputs[beta], f"mono:{alpha}|{beta}")
     rng = random.Random(seed)
     for i in range(n_random):
-        x = _random_element(L, rng, max_degree=4)
-        y = _random_element(L, rng, max_degree=4)
+        x = random_element(L, rng, max_degree=4)
+        y = random_element(L, rng, max_degree=4)
         yield x, norms(x), y, norms(y), f"rand:{i}"
 
 
@@ -273,7 +263,8 @@ def cn_sweep(
     seed: int = 0,
     constant: float = 32.0,
 ) -> list[EstimateReport]:
-    """check_cn_estimate at each R of Rs, one report per R."""
+    """p_R(C_n(x,y)) <= n!^(1-R) / (2 * 8^n) * (32 q)_R(x) (32 q)_R(y), R >= 1,
+    at each R of Rs, one report per R."""
     q = asymptotic_estimate(L, p)
     reports = [
         EstimateReport("cn-estimate", f"R={R},deg<={max_total_degree},c={constant}")
@@ -291,19 +282,6 @@ def cn_sweep(
     return reports
 
 
-def check_cn_estimate(
-    L: LieAlgebra,
-    p: Seminorm,
-    R: float,
-    max_total_degree: int = 8,
-    n_random: int = 100,
-    seed: int = 0,
-    constant: float = 32.0,
-) -> EstimateReport:
-    """p_R(C_n(x,y)) <= n!^(1-R) / (2 * 8^n) * (32 q)_R(x) (32 q)_R(y), R >= 1."""
-    return cn_sweep(L, p, [R], max_total_degree, n_random, seed, constant)[0]
-
-
 def product_sweep(
     L: LieAlgebra,
     p: Seminorm,
@@ -313,7 +291,8 @@ def product_sweep(
     seed: int = 0,
     constant: float = 32.0,
 ) -> list[EstimateReport]:
-    """check_product_estimate at each (R, z0) of grid, one report per point."""
+    """p_R(x * y) <= (c q)_R(x) (c q)_R(y) with c = 32(|z|+1), R >= 1, at
+    each (R, z0) of grid, one report per point."""
     grid = [(R, Fraction(z0)) for R, z0 in grid]
     q = asymptotic_estimate(L, p)
     reports = [
@@ -327,20 +306,6 @@ def product_sweep(
         for (R, _), i, report, a, b in zip(grid, zi, reports, qx, qy):
             report.add(tag, graded_sum(terms[i], R), a * b)
     return reports
-
-
-def check_product_estimate(
-    L: LieAlgebra,
-    p: Seminorm,
-    R: float,
-    z0: Scalar,
-    max_total_degree: int = 8,
-    n_random: int = 100,
-    seed: int = 0,
-    constant: float = 32.0,
-) -> EstimateReport:
-    """p_R(x * y) <= (c q)_R(x) (c q)_R(y) with c = 32(|z|+1), R >= 1."""
-    return product_sweep(L, p, [(R, z0)], max_total_degree, n_random, seed, constant)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +453,8 @@ def linear_sweep(
     seed: int = 0,
     constant: Optional[float] = None,
 ) -> list[EstimateReport]:
-    """check_linear_estimate at each (R, z0) of grid, one report per point."""
+    """p_R(x * eta) <= c_{z,R} (k+1)^R p_R(x) p(eta) for submultiplicative p,
+    at each (R, z0) of grid, one report per point."""
     grid = [(R, Fraction(z0)) for R, z0 in grid]
     p_sub = p.scale(submultiplicative_scale(L, p))
     cs = [linear_factor_constant(R, z0) if constant is None else constant for R, z0 in grid]
@@ -511,23 +477,9 @@ def linear_sweep(
         for i, eta_input in enumerate(etas):
             record(*x_input, *eta_input, f"mono:{alpha},eta={i}")
     for i in range(n_random):
-        x = _random_element(L, rng, max_degree=min(k_max, 5))
+        x = random_element(L, rng, max_degree=min(k_max, 5))
         record(x, norms(x), *linear(_random_vector(L, rng)), f"rand:{i}")
     return reports
-
-
-def check_linear_estimate(
-    L: LieAlgebra,
-    p: Seminorm,
-    R: float,
-    z0: Scalar,
-    k_max: int = 8,
-    n_random: int = 100,
-    seed: int = 0,
-    constant: Optional[float] = None,
-) -> EstimateReport:
-    """p_R(x * eta) <= c_{z,R} (k+1)^R p_R(x) p(eta) for submultiplicative p."""
-    return linear_sweep(L, p, [(R, z0)], k_max, n_random, seed, constant)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +519,8 @@ def nfold_sweep(
     seed: int = 0,
     constant: Optional[float] = None,
 ) -> list[EstimateReport]:
-    """check_nfold_estimate at each (R, z0) of grid, one report per point."""
+    """p_R(xi_1 * ... * xi_n) <= c^n n!^R q(xi_1)...q(xi_n), c = 8e(|z|+1), at
+    each (R, z0) of grid, one report per point."""
     grid = [(R, Fraction(z0)) for R, z0 in grid]
     q = asymptotic_estimate(L, p)
     points = [
@@ -585,20 +538,6 @@ def nfold_sweep(
     return reports
 
 
-def check_nfold_estimate(
-    L: LieAlgebra,
-    p: Seminorm,
-    R: float,
-    z0: Scalar,
-    n_max: int = 6,
-    n_random: int = 50,
-    seed: int = 0,
-    constant: Optional[float] = None,
-) -> EstimateReport:
-    """p_R(xi_1 * ... * xi_n) <= c^n n!^R q(xi_1)...q(xi_n), c = 8e(|z|+1)."""
-    return nfold_sweep(L, p, [(R, z0)], n_max, n_random, seed, constant)[0]
-
-
 # ---------------------------------------------------------------------------
 # nilpotent refinements
 # ---------------------------------------------------------------------------
@@ -613,7 +552,10 @@ def nilpotent_sweep(
     seed: int = 0,
     constant: Optional[float] = None,
 ) -> list[EstimateReport]:
-    """check_nilpotent_estimates at each (R, z0) of grid, one report per point."""
+    """Nilpotent C_n bound with shifted exponent R+eps, the matching n-fold
+    bound with c = 16 e^2 (|z|+1), and the structural vanishing of C_n above
+    the degree bound n > (k+l)(N-1)/N, at each (R, z0) of grid, one report
+    per point."""
     if not all(0 <= R < 1 for R, _ in grid):
         raise ValueError("the nilpotent refinement is for 0 <= R < 1")
     N = nilpotency_index(L)
@@ -659,22 +601,6 @@ def nilpotent_sweep(
             vectors = [basis_vector(L, rng.randrange(L.dim)) for _ in range(n)]
             _add_fold_rows(reports, points, L, p, q, vectors, f"fold:n={n},t={trial}")
     return reports
-
-
-def check_nilpotent_estimates(
-    L: LieAlgebra,
-    p: Seminorm,
-    R: float,
-    z0: Scalar,
-    max_total_degree: int = 8,
-    n_random: int = 50,
-    seed: int = 0,
-    constant: Optional[float] = None,
-) -> EstimateReport:
-    """Nilpotent C_n bound with shifted exponent R+eps, the matching n-fold
-    bound with c = 16 e^2 (|z|+1), and the structural vanishing of C_n above
-    the degree bound n > (k+l)(N-1)/N."""
-    return nilpotent_sweep(L, p, [(R, z0)], max_total_degree, n_random, seed, constant)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -724,46 +650,49 @@ def no_exponential_witness(
 # ---------------------------------------------------------------------------
 
 
-def functoriality_check(
+def functorial_sweep(
     phi: LieHom,
-    z0: Scalar,
-    R: float = 1.0,
+    grid: Sequence[tuple[float, Scalar]],
     n_samples: int = 20,
     n_max: int = 5,
     seed: int = 0,
-) -> EstimateReport:
+) -> list[EstimateReport]:
     """Exact morphism identity for the lifted hom, plus the continuity bound
     p_R(Phi(xi_1 * ... * xi_n)) <= (c r)_R with c = 8e(|z|+1) and r built from
-    the target asymptotic estimate pulled back along phi."""
+    the target asymptotic estimate pulled back along phi, at each (R, z0) of
+    grid, one report per point.  The morphism rows and the folds of the
+    images depend on no point, so each is computed once."""
     if not check_hom(phi):
         raise ValueError("not a Lie algebra homomorphism")
     src, tgt = phi.source, phi.target
-    z0 = Fraction(z0)
+    grid = [(R, Fraction(z0)) for R, z0 in grid]
     rng = random.Random(seed)
-    report = EstimateReport("functorial", f"z={z0},R={R}")
+    reports = [EstimateReport("functorial", f"z={z0},R={R}") for R, z0 in grid]
 
     for i in range(n_samples):
-        x = _random_element(src, rng, max_degree=3, terms=2)
-        y = _random_element(src, rng, max_degree=3, terms=2)
+        x = random_element(src, rng, max_degree=3, terms=2)
+        y = random_element(src, rng, max_degree=3, terms=2)
         lhs = _lift_hom(phi, star_pbw(x, y))
         rhs = star_pbw(_lift_hom(phi, x), _lift_hom(phi, y))
-        report.add(f"morphism:{i}", 0.0 if lhs == rhs else 1.0, 0.0)
+        for report in reports:
+            report.add(f"morphism:{i}", 0.0 if lhs == rhs else 1.0, 0.0)
 
     p = Seminorm.ell1(tgt)
     q = asymptotic_estimate(tgt, p)
-    r_weights = [q.vector_norm(col) or Fraction(1) for col in phi.matrix]
-    r = Seminorm(src, tuple(r_weights))
-    c = 8.0 * math.e * (abs(float(z0)) + 1.0)
+    r = Seminorm(src, tuple(q.vector_norm(col) or Fraction(1) for col in phi.matrix))
+    cs = [8.0 * math.e * (abs(float(z0)) + 1.0) for _, z0 in grid]
+    zs, zi = _distinct([z0 for _, z0 in grid])
     for n in range(1, n_max + 1):
         for trial in range(3):
             vectors = [basis_vector(src, rng.randrange(src.dim)) for _ in range(n)]
-            images = [phi.apply(v) for v in vectors]
-            lhs_norm = pR_norm(p, R, _star_fold(tgt, images).evaluate_z(z0))
-            rhs_norm = c**n * factorial_power(n, R)
-            for v in vectors:
-                rhs_norm *= float(r.vector_norm(v))
-            report.add(f"norm:n={n},t={trial}", lhs_norm, rhs_norm)
-    return report
+            terms = _at_z(p, _star_fold(tgt, [phi.apply(v) for v in vectors]), zs)
+            weights = [float(r.vector_norm(v)) for v in vectors]
+            for (R, _), i, c, report in zip(grid, zi, cs, reports):
+                rhs_norm = c**n * factorial_power(n, R)
+                for w in weights:
+                    rhs_norm *= w
+                report.add(f"norm:n={n},t={trial}", graded_sum(terms[i], R), rhs_norm)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +705,9 @@ def weyl_sweep(
     max_factor_degree: int = 4,
     constant: Optional[float] = None,
 ) -> list[EstimateReport]:
-    """check_weyl_estimate at each (R, z0, central) of grid, one report per
-    point; each product is projected once per central value."""
+    """p_R(pi(x * y)) <= (c p)_R(x) (c p)_R(y), c = 8(|z|+1)(|c|+1), R >= 1/2,
+    with equal weights on P, Q, E, at each (R, z0, central) of grid, one
+    report per point; each product is projected once per central value."""
     if any(R < 0.5 for R, _, _ in grid):
         raise ValueError("the quotient bound needs R >= 1/2")
     grid = [(R, Fraction(z0), Fraction(central)) for R, z0, central in grid]
@@ -805,18 +735,6 @@ def weyl_sweep(
         for (R, _, _), i, report, a, b in zip(grid, pi, reports, px, py):
             report.add(params, graded_sum(terms[i], R), a * b)
     return reports
-
-
-def check_weyl_estimate(
-    z0: Scalar,
-    central: Scalar,
-    R: float = 0.5,
-    max_factor_degree: int = 4,
-    constant: Optional[float] = None,
-) -> EstimateReport:
-    """p_R(pi(x * y)) <= (c p)_R(x) (c p)_R(y), c = 8(|z|+1)(|c|+1), R >= 1/2,
-    with equal weights on P, Q, E."""
-    return weyl_sweep([(R, z0, central)], max_factor_degree, constant)[0]
 
 
 def standard_homs() -> list[tuple[str, LieHom]]:
@@ -946,11 +864,9 @@ def run_experiment(
                 reports.append(report)
     elif name == "functorial":
         for tag, phi in standard_homs():
-            for R in Rs:
-                for z0 in zs:
-                    report = functoriality_check(phi, z0, R=R, seed=seed)
-                    report.estimate_id = f"functorial:{tag}"
-                    reports.append(report)
+            for report in functorial_sweep(phi, [(R, z0) for R in Rs for z0 in zs], seed=seed):
+                report.estimate_id = f"functorial:{tag}"
+                reports.append(report)
     elif name == "weyl-estimate":
         reports = weyl_sweep(
             [(R, z0, central) for R in Rs for z0 in zs for central in (Fraction(1), Fraction(-2))]
@@ -969,7 +885,8 @@ def hopf_sweep(
     seed: int = 0,
     constant: float = 2.0,
 ) -> list[EstimateReport]:
-    """check_hopf_estimates at each R of Rs, one report per R."""
+    """Antipode contraction p_R(S(x)) <= p_R(x) and the coproduct bound
+    (p_R x p_R)(Delta(x)) <= (2p)_R(x), at each R of Rs, one report per R."""
     rng = random.Random(seed)
     reports = [EstimateReport("hopf-estimate", f"R={R},deg<={max_degree}") for R in Rs]
 
@@ -985,19 +902,5 @@ def hopf_sweep(
         for alpha in monomials_of_degree(L, degree):
             record(_monomial(L, alpha), f"mono:{alpha}")
     for i in range(n_random):
-        record(_random_element(L, rng, max_degree=min(max_degree, 5)), f"rand:{i}")
+        record(random_element(L, rng, max_degree=min(max_degree, 5)), f"rand:{i}")
     return reports
-
-
-def check_hopf_estimates(
-    L: LieAlgebra,
-    p: Seminorm,
-    R: float,
-    max_degree: int = 8,
-    n_random: int = 60,
-    seed: int = 0,
-    constant: float = 2.0,
-) -> EstimateReport:
-    """Antipode contraction p_R(S(x)) <= p_R(x) and the coproduct bound
-    (p_R x p_R)(Delta(x)) <= (2p)_R(x)."""
-    return hopf_sweep(L, p, [R], max_degree, n_random, seed, constant)[0]

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import comb
 from typing import Mapping, Optional, Union
 
 from .liealg import LieAlgebra
@@ -21,127 +23,61 @@ from .sym import (
     MultiIndex,
     RLike,
     Seminorm,
+    SparseElement,
     SymElement,
     graded_sum,
     graded_term,
+    random_element,
     weight_ratio,
     weight_ratios,
 )
-from .zpoly import CoeffLike, PolyZ, zp_accumulate, zp_add_into, zp_eval, zp_mul
+from .zpoly import CoeffLike, PolyZ, zp_accumulate, zp_add_into, zp_mul
 
 # ---------------------------------------------------------------------------
 # Sym (x) Sym and the structure maps
 # ---------------------------------------------------------------------------
 
 
-class SymTensorElement:
+class SymTensorElement(SparseElement):
     """Element of Sym(g) (x) Sym(g), sparse over pairs of multi-indices."""
 
-    __slots__ = ("algebra", "_terms")
+    __slots__ = ("algebra",)
 
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        terms: Mapping[tuple[MultiIndex, MultiIndex], CoeffLike] = (),
-    ):
-        self.algebra = algebra
-        clean: dict[tuple[MultiIndex, MultiIndex], PolyZ] = {}
-        for (a, b), coeff in dict(terms).items():
-            key = (tuple(a), tuple(b))
-            c = PolyZ.coerce(coeff)
-            if not c.is_zero:
-                prev = clean.get(key)
-                c = c + prev if prev is not None else c
-                if c.is_zero:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = c
-        self._terms = clean
-
-    @classmethod
-    def _raw(
-        cls, algebra: LieAlgebra, terms: dict[tuple[MultiIndex, MultiIndex], PolyZ]
-    ) -> "SymTensorElement":
-        """Trusted constructor: terms is already canonical (pairs of valid
-        multi-index tuples, nonzero PolyZ coefficients) and is not copied."""
-        t = cls.__new__(cls)
-        t.algebra = algebra
-        t._terms = terms
-        return t
-
-    def items(self):
-        return self._terms.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "SymTensorElement") -> "SymTensorElement":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            prev = out.get(key)
-            s = c + prev if prev is not None else c
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return SymTensorElement(self.algebra, out)
-
-    def __sub__(self, other: "SymTensorElement") -> "SymTensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, coeff: CoeffLike) -> "SymTensorElement":
-        c = PolyZ.coerce(coeff)
-        return SymTensorElement(
-            self.algebra, {k: v * c for k, v in self._terms.items()}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymTensorElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self._terms == other._terms
+    @staticmethod
+    def _key(
+        algebra: LieAlgebra, pair: tuple[MultiIndex, MultiIndex]
+    ) -> tuple[MultiIndex, MultiIndex]:
+        a, b = pair
+        return SymElement._key(algebra, a), SymElement._key(algebra, b)
 
     def __repr__(self) -> str:
         return f"<SymTensorElement terms={len(self._terms)}>"
 
 
+def _split(alpha: MultiIndex):
+    """The terms ((beta, alpha - beta), prod_i C(alpha_i, beta_i)) of the
+    coproduct of xi^alpha, over every 0 <= beta <= alpha."""
+    for beta in product(*(range(a + 1) for a in alpha)):
+        mult = 1
+        for a, b in zip(alpha, beta):
+            mult *= comb(a, b)
+        yield (beta, tuple(a - b for a, b in zip(alpha, beta))), mult
+
+
 def coproduct(x: SymElement) -> SymTensorElement:
     """Shuffle-type coproduct; on a monomial xi^alpha it is
     sum_{0<=beta<=alpha} prod_i C(alpha_i, beta_i) xi^beta (x) xi^(alpha-beta)."""
-    import math
-
-    L = x.algebra
     out: dict[tuple[MultiIndex, MultiIndex], PolyZ] = {}
     for alpha, coeff in x.items():
-        for beta in _sub_indices(alpha):
-            mult = 1
-            for a, b in zip(alpha, beta):
-                mult *= math.comb(a, b)
-            key = (beta, tuple(a - b for a, b in zip(alpha, beta)))
-            c = coeff * mult
-            prev = out.get(key)
-            c = c + prev if prev is not None else c
-            if c.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = c
-    return SymTensorElement(L, out)
-
-
-def _sub_indices(alpha: MultiIndex):
-    if not alpha:
-        yield ()
-        return
-    for head in range(alpha[0] + 1):
-        for rest in _sub_indices(alpha[1:]):
-            yield (head,) + rest
+        for key, mult in _split(alpha):
+            SparseElement.accumulate(out, key, coeff * mult)
+    return SymTensorElement._raw(x.algebra, out)
 
 
 def antipode(x: SymElement) -> SymElement:
     """Multiplies the degree-n component by (-1)^n."""
-    return SymElement(
-        x.algebra,
-        {a: c if sum(a) % 2 == 0 else -c for a, c in x.items()},
+    return SymElement._raw(
+        x.algebra, {a: c if sum(a) % 2 == 0 else -c for a, c in x.items()}
     )
 
 
@@ -172,47 +108,21 @@ def tensor_star(a: SymTensorElement, b: SymTensorElement) -> SymTensorElement:
 def tensor_counit_left(t: SymTensorElement) -> SymElement:
     """(eps (x) id) applied to a tensor."""
     zero = (0,) * t.algebra.dim
-    return SymElement(
-        t.algebra, {b: c for (a, b), c in t.items() if a == zero}
-    )
+    return SymElement._raw(t.algebra, {b: c for (a, b), c in t.items() if a == zero})
 
 
 def tensor_counit_right(t: SymTensorElement) -> SymElement:
     zero = (0,) * t.algebra.dim
-    return SymElement(
-        t.algebra, {a: c for (a, b), c in t.items() if b == zero}
-    )
+    return SymElement._raw(t.algebra, {a: c for (a, b), c in t.items() if b == zero})
 
 
-def _triple_left(t: SymTensorElement) -> dict:
-    """(Delta (x) id) of a tensor, as a triple-index dict."""
+def _triple(t: SymTensorElement, left: bool) -> dict:
+    """(Delta (x) id) of a tensor if left, else (id (x) Delta), as a
+    triple-index dict."""
     out: dict = {}
     for (a, b), c in t.items():
-        inner = coproduct(SymElement.monomial(t.algebra, a))
-        for (a1, a2), ci in inner.items():
-            key = (a1, a2, b)
-            prev = out.get(key)
-            s = c * ci + prev if prev is not None else c * ci
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def _triple_right(t: SymTensorElement) -> dict:
-    """(id (x) Delta) of a tensor, as a triple-index dict."""
-    out: dict = {}
-    for (a, b), c in t.items():
-        inner = coproduct(SymElement.monomial(t.algebra, b))
-        for (b1, b2), ci in inner.items():
-            key = (a, b1, b2)
-            prev = out.get(key)
-            s = c * ci + prev if prev is not None else c * ci
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+        for (u, v), mult in _split(a if left else b):
+            SparseElement.accumulate(out, (u, v, b) if left else (a, u, v), c * mult)
     return out
 
 
@@ -254,27 +164,6 @@ class HopfReport:
         return "\n".join(lines)
 
 
-def random_element(
-    L: LieAlgebra,
-    rng: random.Random,
-    max_degree: int,
-    terms: int = 3,
-    with_z: bool = False,
-) -> SymElement:
-    """Sparse random element with small rational coefficients."""
-    data = {}
-    for _ in range(terms):
-        degree = rng.randint(0, max_degree)
-        alpha = [0] * L.dim
-        for _ in range(degree):
-            alpha[rng.randrange(L.dim)] += 1
-        num = rng.randint(-9, 9) or 1
-        den = rng.randint(1, 9)
-        coeff = PolyZ({rng.randint(0, 2) if with_z else 0: Fraction(num, den)})
-        data[tuple(alpha)] = data.get(tuple(alpha), PolyZ()) + coeff
-    return SymElement(L, data)
-
-
 def verify_hopf(L: LieAlgebra, max_degree: int, seed: int = 0, samples: int = 4) -> HopfReport:
     """Check coassociativity, the counit and antipode laws, and the
     Delta-morphism law for the deformed product, on random elements."""
@@ -294,7 +183,7 @@ def verify_hopf(L: LieAlgebra, max_degree: int, seed: int = 0, samples: int = 4)
         (
             "coassociativity",
             "coassociativity (Delta x id)Delta = (id x Delta)Delta",
-            lambda x: _triple_left(coproduct(x)) == _triple_right(coproduct(x)),
+            lambda x: _triple(coproduct(x), True) == _triple(coproduct(x), False),
         ),
         (
             "counit law",
@@ -361,80 +250,26 @@ def is_heisenberg_shaped(L: LieAlgebra) -> bool:
     return (i, j) == (0, 1) and len(row) == 1 and row[0][0] == 2
 
 
-class WeylElement:
+class WeylElement(SparseElement):
     """Element of the quotient by <E - c 1>, in Q^k P^l normal form."""
 
-    __slots__ = ("central", "_terms")
+    __slots__ = ("central",)
+    _field = "central"
+    _mismatch = "central parameters differ"
 
     def __init__(
         self,
         central: Union[int, Fraction],
         terms: Mapping[tuple[int, int], CoeffLike] = (),
     ):
-        self.central = Fraction(central)
-        clean: dict[tuple[int, int], PolyZ] = {}
-        for key, coeff in dict(terms).items():
-            key = (int(key[0]), int(key[1]))
-            c = PolyZ.coerce(coeff)
-            if not c.is_zero:
-                prev = clean.get(key)
-                c = c + prev if prev is not None else c
-                if c.is_zero:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = c
-        self._terms = clean
+        super().__init__(Fraction(central), terms)
 
-    @classmethod
-    def _raw(cls, central: Fraction, terms: dict[tuple[int, int], PolyZ]) -> "WeylElement":
-        """Trusted constructor: terms is already canonical (int pairs, nonzero
-        PolyZ coefficients) and is not copied."""
-        w = cls.__new__(cls)
-        w.central = central
-        w._terms = terms
-        return w
-
-    def items(self):
-        return self._terms.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        if self.central != other.central:
-            raise ValueError("central parameters differ")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            prev = out.get(key)
-            s = c + prev if prev is not None else c
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return WeylElement(self.central, out)
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + other.scale(-1)
-
-    def scale(self, coeff: CoeffLike) -> "WeylElement":
-        return WeylElement(
-            self.central, {k: v * PolyZ.coerce(coeff) for k, v in self._terms.items()}
-        )
-
-    def evaluate_z(self, z0: Union[int, Fraction]) -> "WeylElement":
-        z0 = Fraction(z0)
-        out = {}
-        for k, c in self._terms.items():
-            v = zp_eval(c._c, z0)
-            if v:
-                out[k] = PolyZ._raw({0: v})
-        return WeylElement._raw(self.central, out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.central == other.central and self._terms == other._terms
+    @staticmethod
+    def _key(central: Fraction, key: tuple[int, int]) -> tuple[int, int]:
+        key = tuple(int(e) for e in key)
+        if len(key) != 2 or min(key) < 0:
+            raise ValueError(f"bad exponent pair {key}")
+        return key
 
     def __repr__(self) -> str:
         parts = [
@@ -463,7 +298,7 @@ def weyl_lift(L: LieAlgebra, w: WeylElement) -> SymElement:
     """The E-free representative of a Weyl element in Sym."""
     if not is_heisenberg_shaped(L):
         raise ValueError("Weyl lift needs the 3-dim Heisenberg algebra shape")
-    return SymElement(L, {(l, k, 0): c for (k, l), c in w.items()})
+    return SymElement._raw(L, {(l, k, 0): c for (k, l), c in w.items()})
 
 
 def weyl_mul(L: LieAlgebra, a: WeylElement, b: WeylElement) -> WeylElement:
@@ -471,8 +306,7 @@ def weyl_mul(L: LieAlgebra, a: WeylElement, b: WeylElement) -> WeylElement:
 
     Well-defined because <E - c 1> is a two-sided star ideal (E is central
     for the deformed product as well)."""
-    if a.central != b.central:
-        raise ValueError("central parameters differ")
+    a._require_same(b)
     return weyl_project(star_pbw(weyl_lift(L, a), weyl_lift(L, b)), a.central)
 
 

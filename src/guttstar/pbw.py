@@ -56,85 +56,34 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .kernel import PbwKernel, add_scaled
 from .liealg import LieAlgebra, LieHom, _bracket_table, check_hom
-from .sym import MultiIndex, SymElement, sym_mul
+from .sym import MultiIndex, SparseElement, SymElement, sym_mul
 from .zpoly import CoeffLike, PolyZ
 
 Word = tuple[int, ...]
 _UNIT = {0: 1}  # the raw coefficient dict of the constant 1
 
 
-class PbwElement:
+class PbwElement(SparseElement):
     """Element of U(g_z) expanded in sorted (normal-ordered) words."""
 
-    __slots__ = ("algebra", "_terms")
+    __slots__ = ("algebra",)
 
-    def __init__(self, algebra: LieAlgebra, terms: Mapping[Word, CoeffLike] = ()):
-        self.algebra = algebra
-        clean: dict[Word, PolyZ] = {}
-        for word, coeff in dict(terms).items():
-            word = tuple(word)
-            if any(not 0 <= i < algebra.dim for i in word):
-                raise ValueError(f"word {word} uses letters outside the basis")
-            if any(word[t] > word[t + 1] for t in range(len(word) - 1)):
-                raise ValueError(f"word {word} is not normal-ordered")
-            c = PolyZ.coerce(coeff)
-            if not c.is_zero:
-                prev = clean.get(word)
-                c = c + prev if prev is not None else c
-                if c.is_zero:
-                    clean.pop(word, None)
-                else:
-                    clean[word] = c
-        self._terms = clean
+    @staticmethod
+    def _key(algebra: LieAlgebra, word: Word) -> Word:
+        word = tuple(word)
+        if any(not 0 <= i < algebra.dim for i in word):
+            raise ValueError(f"word {word} uses letters outside the basis")
+        if any(word[t] > word[t + 1] for t in range(len(word) - 1)):
+            raise ValueError(f"word {word} is not normal-ordered")
+        return word
 
     @classmethod
     def unit(cls, algebra: LieAlgebra, coeff: CoeffLike = 1) -> "PbwElement":
         return cls(algebra, {(): coeff})
-
-    def items(self) -> Iterable[tuple[Word, PolyZ]]:
-        return self._terms.items()
-
-    def coefficient(self, word: Word) -> PolyZ:
-        return self._terms.get(tuple(word), PolyZ())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "PbwElement") -> "PbwElement":
-        if self.algebra != other.algebra:
-            raise ValueError("elements live over different algebras")
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            prev = out.get(w)
-            s = c + prev if prev is not None else c
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return PbwElement(self.algebra, out)
-
-    def __neg__(self) -> "PbwElement":
-        return PbwElement(self.algebra, {w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: "PbwElement") -> "PbwElement":
-        return self + (-other)
-
-    def scale(self, coeff: CoeffLike) -> "PbwElement":
-        c = PolyZ.coerce(coeff)
-        return PbwElement(self.algebra, {w: v * c for w, v in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PbwElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         names = self.algebra.basis_names
@@ -296,8 +245,7 @@ def _context(algebra: LieAlgebra) -> _Context:
 
 def pbw_mul(a: PbwElement, b: PbwElement) -> PbwElement:
     """Product in U(g_z), rewritten to the normal-ordered basis."""
-    if a.algebra != b.algebra:
-        raise ValueError("elements live over different algebras")
+    a._require_same(b)
     ctx = _context(a.algebra)
     product = ctx.multiply_raw(_flatten(a.items()), _flatten(b.items()))
     return PbwElement(a.algebra, _grouped(product.items()))
@@ -328,8 +276,7 @@ def star_pbw(x: SymElement, y: SymElement) -> SymElement:
     over the memo's PolyZ objects, which is safe because a PolyZ is never
     mutated once built.
     """
-    if x.algebra != y.algebra:
-        raise ValueError("elements live over different algebras")
+    x._require_same(y)
     ctx = _context(x.algebra)
     if len(x._terms) == 1 and len(y._terms) == 1:
         (alpha, ca), = x.items()
@@ -362,8 +309,7 @@ def star_graded(x: SymElement, y: SymElement) -> SymElement:
 
     Requires z-constant inputs.  Must coincide with star_pbw.
     """
-    if x.algebra != y.algebra:
-        raise ValueError("elements live over different algebras")
+    x._require_same(y)
     if not (x.is_z_constant and y.is_z_constant):
         raise ValueError("star_graded needs z-constant inputs")
     ctx = _context(x.algebra)

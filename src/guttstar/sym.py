@@ -18,6 +18,7 @@ point unless R is integral and an exact value is requested).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -29,36 +30,126 @@ MultiIndex = tuple[int, ...]
 RLike = Union[int, float, Fraction]
 
 
-class SymElement:
-    """Element of Sym(g) with coefficients polynomial in z."""
+class SparseElement:
+    """A finite map from basis keys to nonzero z-polynomial coefficients.
 
-    __slots__ = ("algebra", "_terms")
+    A subclass names the field two operands must share (``_field``, with the
+    error text ``_mismatch``) and checks its keys (``_key(owner, key)``
+    returns the canonical key or raises ``ValueError``).  The public
+    constructor checks every key and merges repeats; ``_raw`` trusts a map
+    that is already canonical and does not copy it.
+    """
 
-    def __init__(self, algebra: LieAlgebra, terms: Mapping[MultiIndex, CoeffLike] = ()):
-        self.algebra = algebra
-        clean: dict[MultiIndex, PolyZ] = {}
-        for alpha, coeff in dict(terms).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != algebra.dim or any(a < 0 for a in alpha):
-                raise ValueError(f"bad multi-index {alpha} for dim {algebra.dim}")
+    __slots__ = ("_terms",)
+    _field = "algebra"
+    _mismatch = "elements live over different algebras"
+
+    def __init__(self, algebra: LieAlgebra, terms: Mapping[object, CoeffLike] = ()):
+        setattr(self, self._field, algebra)
+        clean: dict = {}
+        for key, coeff in dict(terms).items():
+            key = self._key(algebra, key)
             c = PolyZ.coerce(coeff)
-            if not c.is_zero:
-                prev = clean.get(alpha)
-                c = c + prev if prev is not None else c
-                if c.is_zero:
-                    clean.pop(alpha, None)
-                else:
-                    clean[alpha] = c
+            if c:
+                self.accumulate(clean, key, c)
         self._terms = clean
 
+    @staticmethod
+    def accumulate(out: dict, key, c: PolyZ) -> None:
+        """out[key] += c, dropping the slot when the sum is zero."""
+        prev = out.get(key)
+        if prev is not None:
+            c = c + prev
+        if c:
+            out[key] = c
+        elif prev is not None:
+            del out[key]
+
     @classmethod
-    def _raw(cls, algebra: LieAlgebra, terms: dict[MultiIndex, PolyZ]) -> "SymElement":
-        """Trusted constructor: terms is already canonical (valid multi-index
-        tuples, nonzero PolyZ coefficients) and is not copied."""
+    def _raw(cls, owner, terms: dict):
+        """Trusted constructor: terms is already canonical (checked keys,
+        nonzero PolyZ coefficients) and is not copied."""
         x = cls.__new__(cls)
-        x.algebra = algebra
+        setattr(x, cls._field, owner)
         x._terms = terms
         return x
+
+    def _owner(self):
+        return getattr(self, self._field)
+
+    def _require_same(self, other: "SparseElement") -> None:
+        if self._owner() != other._owner():
+            raise ValueError(self._mismatch)
+
+    def items(self) -> Iterable[tuple]:
+        return self._terms.items()
+
+    def coefficient(self, key) -> PolyZ:
+        return self._terms.get(tuple(key), PolyZ())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._require_same(other)
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            self.accumulate(out, key, c)
+        return self._raw(self._owner(), out)
+
+    def __neg__(self):
+        return self._raw(self._owner(), {k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff: CoeffLike):
+        c = PolyZ.coerce(coeff)
+        terms = {k: v * c for k, v in self._terms.items()} if c else {}
+        return self._raw(self._owner(), terms)
+
+    def evaluate_z(self, z0: Union[int, Fraction]):
+        """Substitute z = z0 in every coefficient."""
+        z0 = Fraction(z0)
+        out = {}
+        for k, c in self._terms.items():
+            v = zp_eval(c._c, z0)
+            if v:
+                out[k] = PolyZ._raw({0: v})
+        return self._raw(self._owner(), out)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._owner() == other._owner() and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._owner(), frozenset(self._terms.items())))
+
+
+class SymElement(SparseElement):
+    """Element of Sym(g) with coefficients polynomial in z."""
+
+    __slots__ = ("algebra",)
+    # bound on the class itself as well: perfbench/layers.py traces these by
+    # SymElement's own attributes, and its tracer does not look up the bases
+    __init__ = SparseElement.__init__
+    __add__ = SparseElement.__add__
+    scale = SparseElement.scale
+    evaluate_z = SparseElement.evaluate_z
+
+    @staticmethod
+    def _key(algebra: LieAlgebra, alpha: Sequence[int]) -> MultiIndex:
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != algebra.dim or any(a < 0 for a in alpha):
+            raise ValueError(f"bad multi-index {alpha} for dim {algebra.dim}")
+        return alpha
 
     # constructors -----------------------------------------------------------
 
@@ -96,16 +187,6 @@ class SymElement:
 
     # inspection ---------------------------------------------------------------
 
-    def items(self) -> Iterable[tuple[MultiIndex, PolyZ]]:
-        return self._terms.items()
-
-    def coefficient(self, alpha: Sequence[int]) -> PolyZ:
-        return self._terms.get(tuple(alpha), PolyZ())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     @property
     def max_degree(self) -> int:
         """Top polynomial degree; -1 for the zero element."""
@@ -128,32 +209,6 @@ class SymElement:
 
     # algebra --------------------------------------------------------------------
 
-    def _require_same(self, other: "SymElement") -> None:
-        if self.algebra != other.algebra:
-            raise ValueError("elements live over different algebras")
-
-    def __add__(self, other: "SymElement") -> "SymElement":
-        self._require_same(other)
-        out = dict(self._terms)
-        for alpha, c in other._terms.items():
-            prev = out.get(alpha)
-            s = c + prev if prev is not None else c
-            if s.is_zero:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
-        return SymElement(self.algebra, out)
-
-    def __neg__(self) -> "SymElement":
-        return SymElement(self.algebra, {a: -c for a, c in self._terms.items()})
-
-    def __sub__(self, other: "SymElement") -> "SymElement":
-        return self + (-other)
-
-    def scale(self, coeff: CoeffLike) -> "SymElement":
-        c = PolyZ.coerce(coeff)
-        return SymElement(self.algebra, {a: v * c for a, v in self._terms.items()})
-
     def __mul__(self, other: Union["SymElement", CoeffLike]) -> "SymElement":
         if not isinstance(other, SymElement):
             return self.scale(other)
@@ -170,17 +225,6 @@ class SymElement:
             result = sym_mul(result, self)
         return result
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self._terms == other._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, frozenset(self._terms.items())))
-
     def project(self, n: int) -> "SymElement":
         """Homogeneous degree-n part."""
         if n < 0:
@@ -188,16 +232,6 @@ class SymElement:
         return SymElement._raw(
             self.algebra, {a: c for a, c in self._terms.items() if sum(a) == n}
         )
-
-    def evaluate_z(self, z0: Union[int, Fraction]) -> "SymElement":
-        """Substitute z = z0 in every coefficient."""
-        z0 = Fraction(z0)
-        out = {}
-        for a, c in self._terms.items():
-            v = zp_eval(c._c, z0)
-            if v:
-                out[a] = PolyZ._raw({0: v})
-        return SymElement._raw(self.algebra, out)
 
     def z_coefficient(self, n: int) -> "SymElement":
         """The Sym-valued coefficient of z^n."""
@@ -223,16 +257,8 @@ def sym_mul(x: SymElement, y: SymElement) -> SymElement:
     out: dict[MultiIndex, PolyZ] = {}
     for a, ca in x.items():
         for b, cb in y.items():
-            key = tuple(i + j for i, j in zip(a, b))
-            c = ca * cb
-            prev = out.get(key)
-            if prev is not None:
-                c = c + prev
-            if c.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = c
-    return SymElement(x.algebra, out)
+            SparseElement.accumulate(out, tuple(i + j for i, j in zip(a, b)), ca * cb)
+    return SymElement._raw(x.algebra, out)
 
 
 def project(x: SymElement, n: int) -> SymElement:
@@ -255,6 +281,23 @@ def exp_truncated(x: SymElement, order: int) -> SymElement:
         fact *= n
         total = total + power.scale(Fraction(1, fact))
     return total
+
+
+def random_element(
+    algebra: LieAlgebra, rng: random.Random, max_degree: int, terms: int = 3
+) -> SymElement:
+    """Sparse random element with small rational coefficients: terms draws of
+    a multi-index of degree at most max_degree and a coefficient num/den with
+    0 < |num| <= 9 and 0 < den <= 9; the last draw of a repeated multi-index
+    wins."""
+    data = {}
+    for _ in range(terms):
+        alpha = [0] * algebra.dim
+        for _ in range(rng.randint(0, max_degree)):
+            alpha[rng.randrange(algebra.dim)] += 1
+        num = rng.randint(-9, 9) or 1
+        data[tuple(alpha)] = PolyZ._raw({0: Fraction(num, rng.randint(1, 9))})
+    return SymElement._raw(algebra, data)
 
 
 # ---------------------------------------------------------------------------

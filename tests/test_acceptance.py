@@ -157,10 +157,10 @@ def test_criterion_06_continuity_estimates():
     ):
         reports.extend(ex.run_experiment(name))
     ok = all(r.passed for r in reports)
-    control = ex.check_cn_estimate(
+    (control,) = ex.cn_sweep(
         heisenberg(),
         Seminorm.ell1(heisenberg()),
-        1.0,
+        [1.0],
         max_total_degree=5,
         n_random=0,
         constant=0.25,
@@ -216,7 +216,7 @@ def test_criterion_10_functoriality():
     """lift_hom is a star-morphism exactly for three validated homs."""
     ok = True
     for tag, phi in ex.standard_homs():
-        report = ex.functoriality_check(phi, 1, n_samples=15)
+        (report,) = ex.functorial_sweep(phi, [(1.0, 1)], n_samples=15)
         if not report.passed:
             ok = False
     _report("criterion 10: functoriality of lifted homomorphisms", ok)

@@ -17,7 +17,7 @@ def p_heis():
 
 
 def test_cn_estimate_passes_and_has_expected_row(heis, p_heis):
-    report = ex.check_cn_estimate(heis, p_heis, 1.0, max_total_degree=4, n_random=10)
+    (report,) = ex.cn_sweep(heis, p_heis, [1.0], max_total_degree=4, n_random=10)
     assert report.passed
     # hand-computed instance: x = P, y = Q, n = 1 gives 1/2 <= 64
     row = next(
@@ -28,25 +28,20 @@ def test_cn_estimate_passes_and_has_expected_row(heis, p_heis):
 
 
 def test_cn_estimate_falsified_constant_fails(heis, p_heis):
-    report = ex.check_cn_estimate(
-        heis, p_heis, 1.0, max_total_degree=4, n_random=0, constant=0.25
-    )
+    (report,) = ex.cn_sweep(heis, p_heis, [1.0], max_total_degree=4, n_random=0, constant=0.25)
     assert not report.passed
     assert report.failures()
 
 
 def test_cn_estimate_r_sweep(heis, p_heis):
     for R in (1.0, 1.5, 2.0):
-        assert ex.check_cn_estimate(
-            heis, p_heis, R, max_total_degree=4, n_random=10
-        ).passed
+        (report,) = ex.cn_sweep(heis, p_heis, [R], max_total_degree=4, n_random=10)
+        assert report.passed
 
 
 def test_product_estimate(heis, p_heis):
     for z0 in (0, 1, -2):
-        report = ex.check_product_estimate(
-            heis, p_heis, 1.0, z0, max_total_degree=4, n_random=10
-        )
+        (report,) = ex.product_sweep(heis, p_heis, [(1.0, z0)], max_total_degree=4, n_random=10)
         assert report.passed
 
 
@@ -55,9 +50,7 @@ def test_product_estimate_abelian_trivial():
     from guttstar.liealg import abelian
 
     A = abelian(3)
-    report = ex.check_product_estimate(
-        A, Seminorm.ell1(A), 1.0, 1, max_total_degree=4, n_random=10
-    )
+    (report,) = ex.product_sweep(A, Seminorm.ell1(A), [(1.0, 1)], max_total_degree=4, n_random=10)
     assert report.passed
 
 
@@ -110,35 +103,35 @@ def test_growth_parameter_validation():
 
 
 def test_linear_estimate_series_and_split_paths(heis, p_heis):
-    assert ex.check_linear_estimate(heis, p_heis, 1.0, 0, k_max=5, n_random=5).passed
-    assert ex.check_linear_estimate(heis, p_heis, 1.0, 1, k_max=6, n_random=10).passed
-    assert ex.check_linear_estimate(heis, p_heis, 2.0, 7, k_max=6, n_random=10).passed
+    for R, z0, k_max, n_random in ((1.0, 0, 5, 5), (1.0, 1, 6, 10), (2.0, 7, 6, 10)):
+        (report,) = ex.linear_sweep(heis, p_heis, [(R, z0)], k_max=k_max, n_random=n_random)
+        assert report.passed
     with pytest.raises(ValueError):
         ex.linear_factor_constant(1.0, 7)
 
 
 def test_nfold_estimate(heis, p_heis):
     for z0 in (1, -2):
-        assert ex.check_nfold_estimate(heis, p_heis, 1.0, z0, n_random=20).passed
+        (report,) = ex.nfold_sweep(heis, p_heis, [(1.0, z0)], n_random=20)
+        assert report.passed
     from guttstar.liealg import abelian
 
     A = abelian(2)
-    assert ex.check_nfold_estimate(A, Seminorm.ell1(A), 1.5, 1, n_random=10).passed
+    (report,) = ex.nfold_sweep(A, Seminorm.ell1(A), [(1.5, 1)], n_random=10)
+    assert report.passed
 
 
 def test_nilpotent_estimates(heis, p_heis, fil4):
-    report = ex.check_nilpotent_estimates(
-        heis, p_heis, 0.5, 1, max_total_degree=4, n_random=10
-    )
+    (report,) = ex.nilpotent_sweep(heis, p_heis, [(0.5, 1)], max_total_degree=4, n_random=10)
     assert report.passed
-    report = ex.check_nilpotent_estimates(
-        fil4, Seminorm.ell1(fil4), 0.5, 1, max_total_degree=4, n_random=10
+    (report,) = ex.nilpotent_sweep(
+        fil4, Seminorm.ell1(fil4), [(0.5, 1)], max_total_degree=4, n_random=10
     )
     assert report.passed
     with pytest.raises(ValueError):
-        ex.check_nilpotent_estimates(sl2(), Seminorm.ell1(sl2()), 0.5, 1)
+        ex.nilpotent_sweep(sl2(), Seminorm.ell1(sl2()), [(0.5, 1)])
     with pytest.raises(ValueError):
-        ex.check_nilpotent_estimates(heis, p_heis, 1.0, 1)
+        ex.nilpotent_sweep(heis, p_heis, [(1.0, 1)])
 
 
 def test_no_exponential_witness(heis, p_heis):
@@ -161,20 +154,20 @@ def test_no_exponential_convergence_below_one(heis, p_heis):
 
 def test_functoriality(heis):
     for tag, phi in ex.standard_homs():
-        report = ex.functoriality_check(phi, 1)
+        (report,) = ex.functorial_sweep(phi, [(1.0, 1)])
         assert report.passed, tag
 
 
 def test_weyl_estimate():
-    assert ex.check_weyl_estimate(1, 1, R=0.5, max_factor_degree=3).passed
-    assert ex.check_weyl_estimate(-2, Fraction(1, 2), R=0.5, max_factor_degree=3).passed
+    for z0, central in ((1, 1), (-2, Fraction(1, 2))):
+        (report,) = ex.weyl_sweep([(0.5, z0, central)], max_factor_degree=3)
+        assert report.passed
 
 
 def test_hopf_estimates(heis, p_heis):
     for R in (0.5, 1.0, 2.0):
-        assert ex.check_hopf_estimates(
-            heis, p_heis, R, max_degree=5, n_random=15
-        ).passed
+        (report,) = ex.hopf_sweep(heis, p_heis, [R], max_degree=5, n_random=15)
+        assert report.passed
 
 
 def test_run_experiment_and_csv(tmp_path, heis):
@@ -221,32 +214,32 @@ WEIGHTS = (Fraction(2), Fraction(1, 3), Fraction(5, 2))
 
 
 def _point_reports(name, L, p, Rs, zs, max_degree, k_max, seed):
-    """The one-point check_* call at each point of run_experiment's grid."""
+    """The sweep on a one-point grid at each point of run_experiment's grid."""
     grid = [(R, z0) for R in Rs for z0 in zs]
     if name == "cn-estimate":
-        return [ex.check_cn_estimate(L, p, R, max_total_degree=max_degree, seed=seed) for R in Rs]
+        return [ex.cn_sweep(L, p, [R], max_total_degree=max_degree, seed=seed)[0] for R in Rs]
     if name == "product-estimate":
         return [
-            ex.check_product_estimate(L, p, R, z0, max_total_degree=max_degree, seed=seed)
-            for R, z0 in grid
+            ex.product_sweep(L, p, [point], max_total_degree=max_degree, seed=seed)[0]
+            for point in grid
         ]
     if name == "linear-estimate":
         return [
-            ex.check_linear_estimate(L, p, R, z0, k_max=k_max, seed=seed)
+            ex.linear_sweep(L, p, [(R, z0)], k_max=k_max, seed=seed)[0]
             for R, z0 in grid
             if abs(z0) < 2 * math.pi or R > 1
         ]
     if name == "nfold-estimate":
-        return [ex.check_nfold_estimate(L, p, R, z0, seed=seed) for R, z0 in grid]
+        return [ex.nfold_sweep(L, p, [point], seed=seed)[0] for point in grid]
     if name == "nilpotent-estimate":
         return [
-            ex.check_nilpotent_estimates(L, p, R, z0, max_total_degree=max_degree, seed=seed)
-            for R, z0 in grid
+            ex.nilpotent_sweep(L, p, [point], max_total_degree=max_degree, seed=seed)[0]
+            for point in grid
         ]
     if name == "weyl-estimate":
-        return [ex.check_weyl_estimate(z0, c0, R=R) for R, z0 in grid for c0 in (1, -2)]
+        return [ex.weyl_sweep([(R, z0, c0)])[0] for R, z0 in grid for c0 in (1, -2)]
     assert name == "hopf-estimate"
-    return [ex.check_hopf_estimates(L, p, R, max_degree=max_degree, seed=seed) for R in Rs]
+    return [ex.hopf_sweep(L, p, [R], max_degree=max_degree, seed=seed)[0] for R in Rs]
 
 
 def _report_rows(reports):
@@ -274,7 +267,8 @@ GRID_CASES = [
 @pytest.mark.parametrize("name,L,weights,Rs,zs", GRID_CASES)
 def test_sweep_reports_equal_one_point_checks(name, L, weights, Rs, zs):
     """A sweep over the whole grid gives, point by point and in order, the
-    reports of the one-point check_* calls; a repeated point repeats its report."""
+    reports of the same sweep on one-point grids; a repeated point repeats its
+    report."""
     got = ex.run_experiment(
         name, algebra=L, weights=weights, R_list=Rs, z_list=zs, max_degree=3, k_max=3, seed=5
     )
@@ -329,6 +323,34 @@ def test_sweeps_do_grid_invariant_work_once(monkeypatch):
     assert len(ex.run_experiment("product-estimate", max_degree=3)) == 9
     # once per input pair: every monomial pair, then the 100 random pairs
     assert calls == {"star_pbw": len(list(ex.monomial_pairs(heisenberg(), 3))) + 100}
+
+
+def test_functorial_sweep_does_the_morphism_rows_once(monkeypatch):
+    """The morphism identity and the folds are computed once per hom, not once
+    per grid point, and each report keeps the rows of a one-point sweep."""
+    calls = collections.Counter()
+    star_pbw = ex.star_pbw
+
+    def counted(*args):
+        calls["star_pbw"] += 1
+        return star_pbw(*args)
+
+    monkeypatch.setattr(ex, "star_pbw", counted)
+    Rs, zs = [1.0, 2.0], [Fraction(1), Fraction(-2)]
+    got = ex.run_experiment("functorial", R_list=Rs, z_list=zs, seed=3)
+    # per hom: 20 morphism samples with 2 products each, and 3 folds of
+    # n - 1 products for each n <= 5
+    assert calls["star_pbw"] == 3 * (20 * 2 + 3 * 10) == 210
+    monkeypatch.undo()
+    want = []
+    for tag, phi in ex.standard_homs():
+        for R in Rs:
+            for z0 in zs:
+                (report,) = ex.functorial_sweep(phi, [(R, z0)], seed=3)
+                report.estimate_id = f"functorial:{tag}"
+                want.append(report)
+    assert len(got) == 12
+    assert _report_rows(got) == _report_rows(want)
 
 
 @pytest.mark.parametrize("L", [heisenberg(), sl2()])

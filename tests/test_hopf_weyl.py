@@ -43,6 +43,23 @@ def test_coproduct_primitive(heis):
     assert coproduct(xi) == expected
 
 
+def test_tensor_element_rejects_bad_multi_indices(heis):
+    with pytest.raises(ValueError, match="bad multi-index"):
+        SymTensorElement(heis, {((1, 0), (0, 0, -1)): 1})
+    with pytest.raises(ValueError, match="bad multi-index"):
+        SymTensorElement(heis, {((1, 0, 0), (0, 0, -1)): 1})
+
+
+def test_tensor_elements_over_different_algebras_do_not_add(heis, ab3):
+    unit = (0, 0, 0)
+    a = SymTensorElement(heis, {(unit, (1, 0, 0)): 1})
+    b = SymTensorElement(ab3, {(unit, (1, 0, 0)): 1})
+    with pytest.raises(ValueError, match="different algebras"):
+        a + b
+    with pytest.raises(ValueError, match="different algebras"):
+        a - b
+
+
 def test_coproduct_square(heis):
     P2 = SymElement.monomial(heis, (2, 0, 0))
     unit = (0, 0, 0)
@@ -172,6 +189,12 @@ def test_weyl_project(heis):
     assert killed.is_zero
     with pytest.raises(ValueError):
         weyl_project(SymElement.basis(sl2(), 0), 1)
+
+
+@pytest.mark.parametrize("key", [(-1, 2), (2, -1), (1, 2, 0)])
+def test_weyl_element_rejects_bad_exponent_pairs(key):
+    with pytest.raises(ValueError, match="bad exponent pair"):
+        WeylElement(1, {key: 1})
 
 
 def test_weyl_mul_examples(heis):

@@ -214,8 +214,12 @@ def test_pbw_mul_abelian_is_concatenation():
 
 
 def test_pbw_element_rejects_unsorted_words(heis):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not normal-ordered"):
         PbwElement(heis, {(1, 0): 1})
+    # a letter past the basis, and a negative one
+    for word in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="outside the basis"):
+            PbwElement(heis, {word: 1})
 
 
 # ---------------------------------------------------------------------------

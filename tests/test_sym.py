@@ -60,6 +60,29 @@ def test_sym_mul_algebra_mismatch(heis):
     other = abelian(3)
     with pytest.raises(ValueError):
         sym_mul(SymElement.basis(heis, 0), SymElement.basis(other, 0))
+    with pytest.raises(ValueError, match="different algebras"):
+        SymElement.basis(heis, 0) + SymElement.basis(other, 0)
+
+
+def test_scale_by_zero_is_zero(heis):
+    from guttstar.hopf import SymTensorElement, WeylElement
+    from guttstar.pbw import PbwElement
+
+    unit = (0, 0, 0)
+    for x in (
+        SymElement(heis, {(1, 0, 2): 3}),
+        PbwElement(heis, {(0, 1): PolyZ.z()}),
+        SymTensorElement(heis, {((1, 0, 0), unit): 2}),
+        WeylElement(2, {(1, 1): Fraction(1, 2)}),
+    ):
+        assert x.scale(0).is_zero and x.scale(0) == x - x
+        assert x.scale(PolyZ()).is_zero
+
+
+@pytest.mark.parametrize("alpha", [(1, 0), (1, 0, 0, 0), (1, -1, 0)])
+def test_sym_element_rejects_bad_multi_indices(heis, alpha):
+    with pytest.raises(ValueError, match="bad multi-index"):
+        SymElement(heis, {alpha: 1})
 
 
 def test_project(heis):
