@@ -22,9 +22,14 @@ vectors, so ``star_bch_elements`` is a weighted sum of power products, and
 
 The BCH route runs on integer numerators, with ``Fraction`` only at the
 boundary: each vector is scaled by the lcm of its denominators, each word
-weight g_w/n is an integer over one denominator per degree, partial products
-and leaf weights are ints, and every output coefficient is one ``Fraction``.
-Rational structure constants take the same path as ``Fraction`` numerators.
+weight g_w/n and each Bernoulli weight B*_j/j! is an integer over one
+denominator, and partial products and leaf weights are ints.  Every product
+here is a list of parts summed by ``sym.sum_parts``, the part-sum of the PBW
+route and the Hopf maps, so every output coefficient is one ``Fraction``;
+each memoized power product is kept in the star memo's raw form (D, terms).
+Every accumulation, the free series included, runs through
+``zpoly.add_scaled``.  Rational structure constants take the same path as
+``Fraction`` numerators.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from typing import Optional, Sequence, Union
 
 from .liealg import LieAlgebra, Vector, _bracket, as_vector, nilpotency_index
 from .pbw import star_pbw
-from .sym import SymElement, exp_truncated, sym_mul
-from .zpoly import PolyZ
+from .sym import SymElement, exp_truncated, raw_sum, sum_parts, sym_mul
+from .zpoly import add_scaled
 
 MAX_TRUNCATION = 12
 DEFAULT_TRUNCATION = 8
@@ -82,26 +87,14 @@ class FreeSeries:
 
     def add_scaled(self, other: "FreeSeries", scale: Fraction) -> "FreeSeries":
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, Fraction(0)) + c * scale
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
+        add_scaled(out, other.terms.items(), scale)  # the constructor drops zeros
         return FreeSeries(self.truncation, out)
 
     def mul(self, other: "FreeSeries") -> "FreeSeries":
         out: dict[str, Fraction] = {}
         for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                if len(wa) + len(wb) > self.truncation:
-                    continue
-                w = wa + wb
-                v = out.get(w, Fraction(0)) + ca * cb
-                if v:
-                    out[w] = v
-                else:
-                    out.pop(w, None)
+            room = self.truncation - len(wa)
+            add_scaled(out, [(wa + w, c) for w, c in other.terms.items() if len(w) <= room], ca)
         return FreeSeries(self.truncation, out)
 
     def __eq__(self, other: object) -> bool:
@@ -153,6 +146,7 @@ def _log_expansion_impl(truncation: int) -> FreeSeries:
         for n in range(1, truncation + 1)
         for a in range(n + 1)
     ]
+    fit = [r * (r + 3) // 2 for r in range(truncation + 1)]  # terms of length <= r
     M = math.lcm(*range(1, truncation + 1))
     power = {"": 1}
     total: dict[str, int] = {}
@@ -160,19 +154,12 @@ def _log_expansion_impl(truncation: int) -> FreeSeries:
         nxt: dict[str, int] = {}
         for u, cu in power.items():
             lu = len(u)
-            for v, cv in e_terms:
-                n = lu + len(v)
-                if n > truncation:
-                    break
-                w = u + v
-                nxt[w] = nxt.get(w, 0) + math.comb(n, lu) * cu * cv
+            room = e_terms[: fit[truncation - lu]]
+            add_scaled(nxt, [(u + v, math.comb(lu + len(v), lu) * cv) for v, cv in room], cu)
         power = nxt
-        scale = M // m if m % 2 else -(M // m)
-        for w, c in power.items():
-            total[w] = total.get(w, 0) + scale * c
+        add_scaled(total, power.items(), M // m if m % 2 else -(M // m))
     return FreeSeries(
-        truncation,
-        {w: Fraction(c, M * math.factorial(len(w))) for w, c in total.items() if c},
+        truncation, {w: Fraction(c, M * math.factorial(len(w))) for w, c in total.items()}
     )
 
 
@@ -401,6 +388,15 @@ def bernoulli_star(n_max: int) -> tuple[Fraction, ...]:
     return tuple(-b if n % 2 else b for n, b in enumerate(first))
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_weights(n_max: int) -> tuple[int, tuple[int, ...]]:
+    """B*_j / j! for j <= n_max as integer numerators over one denominator:
+    (W, (w_0, ..., w_n_max))."""
+    ratios = [b / math.factorial(j) for j, b in enumerate(bernoulli_star(n_max))]
+    common = math.lcm(*(r.denominator for r in ratios))
+    return common, tuple(r.numerator * (common // r.denominator) for r in ratios)
+
+
 def bernoulli_first_kind(n_max: int) -> tuple[Fraction, ...]:
     """Standard first-kind Bernoulli numbers via B_n = (-1)^n B*_n."""
     return tuple((-1) ** n * b for n, b in enumerate(bernoulli_star(n_max)))
@@ -424,28 +420,30 @@ def star_linear(x: SymElement, eta: Sequence) -> SymElement:
     multiset and N(t) is the falling-count multiplicity.  The tails are
     walked depth first on the integral vector D_eta eta, each ad_t(eta) one
     bracket from its parent's, and a zero bracket prunes every longer tail
-    through it; N(t) ad_t(eta) is summed on ints per (gamma, j) and scaled
-    by B*_j / (j! D_eta) once per coefficient term of x.  Extends
-    Q[z]-linearly over the coefficients of x; equals star_pbw(x, eta).
+    through it.  With B*_j / j! = w_j / W over one denominator W, each
+    monomial's sum of w_j N(t) ad_t(eta) z^j is one raw product over
+    W D_eta, and each coefficient term of x scales it into one part of
+    ``sum_parts``.  Extends Q[z]-linearly over the coefficients of x; equals
+    star_pbw(x, eta).
     """
     L = x.algebra
     d_eta, eta = _integral(as_vector(L, eta))
-    bern = bernoulli_star(max(x.max_degree, 0))
+    common, weights = _bernoulli_weights(max(x.max_degree, 0))
     basis = [tuple(int(k == i) for k in range(L.dim)) for i in range(L.dim)]
     parts = []
 
     for alpha, coeff in x.items():
-        sums: dict[int, dict[tuple[int, ...], Scalar]] = {}
+        acc: dict = {}
 
         def walk(counts: list[int], j: int, val: tuple, mult: int):
-            if bern[j]:
-                slot = sums.setdefault(j, {})
+            if weights[j]:
+                terms = []
                 for i, v in enumerate(val):
                     if v:
                         counts[i] += 1
-                        gamma = tuple(counts)
+                        terms.append(((tuple(counts), j), v))
                         counts[i] -= 1
-                        slot[gamma] = slot.get(gamma, 0) + mult * v
+                add_scaled(acc, terms, mult * weights[j])
             for i in range(L.dim):
                 if counts[i]:
                     nxt = _bracket(L, basis[i], val)
@@ -456,47 +454,9 @@ def star_linear(x: SymElement, eta: Sequence) -> SymElement:
 
         if any(eta):
             walk(list(alpha), 0, eta, 1)
-        for j, terms in sums.items():
-            b = bern[j]
-            den = b.denominator * math.factorial(j) * d_eta
-            for e, c in coeff.items():
-                parts.append((e + j, c.numerator * b.numerator, c.denominator * den, terms))
-    return _sym_from_parts(L, parts)
-
-
-def _sym_from_parts(L: LieAlgebra, parts) -> SymElement:
-    """The element sum (num/den) z^e sum_gamma c_gamma xi^gamma over the parts
-    (e, num, den, {gamma: c_gamma}), with int num, den and int (or, for
-    rational structure constants, Fraction) c_gamma; every output
-    coefficient is one Fraction."""
-    coefficients: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for e, _, common, acc in _combine_parts(parts):
-        for gamma, c in acc.items():
-            if c:
-                coefficients.setdefault(gamma, {})[e] = Fraction(c, common)
-    return SymElement._raw(
-        L, {gamma: PolyZ._raw(poly) for gamma, poly in coefficients.items()}
-    )
-
-
-def _combine_parts(parts) -> list[tuple[int, int, int, dict]]:
-    """The parts summed per z-exponent: one part (e, 1, common, {gamma: c})
-    per exponent, summed on ints over the lcm of its reduced weight
-    denominators; a coefficient may sum to zero."""
-    groups: dict[int, list] = {}
-    for e, num, den, terms in parts:
-        g = math.gcd(num, den)
-        groups.setdefault(e, []).append((num // g, den // g, terms))
-    out = []
-    for e, group in groups.items():
-        common = math.lcm(*(den for _, den, _ in group))
-        acc: dict[tuple[int, ...], Scalar] = {}
-        for num, den, terms in group:
-            f = num * (common // den)
-            for gamma, c in terms.items():
-                acc[gamma] = acc.get(gamma, 0) + f * c
-        out.append((e, 1, common, acc))
-    return out
+        for e, c in coeff.items():
+            parts.append((common * d_eta * c.denominator, acc.items(), c.numerator, e))
+    return SymElement._raw(L, sum_parts(parts))
 
 
 def nfold_star(L: LieAlgebra, vectors: Sequence[Sequence]) -> SymElement:
@@ -559,14 +519,16 @@ def star_bch(L: LieAlgebra, xi: Sequence, k: int, eta: Sequence, l: int) -> SymE
     eta = as_vector(L, eta)
     if k + l == 0:
         return SymElement.unit(L)
-    return _sym_from_parts(L, _star_bch_parts(L, xi, k, eta, l))
+    return SymElement._raw(L, sum_parts(_star_bch_parts(L, xi, k, eta, l)))
 
 
 def _star_bch_parts(L: LieAlgebra, xi: Vector, k: int, eta: Vector, l: int) -> list:
-    """The leaves (e, num, den, {gamma: c}) of ``star_bch`` on trusted
-    vectors (``Fraction`` or ``int`` entries)."""
+    """The leaves of ``star_bch`` on trusted vectors (``Fraction`` or ``int``
+    entries) as parts (den, terms, num, e) of ``sum_parts``: the terms of a
+    leaf are its partial product {gamma: c} as z-constant pairs
+    ((gamma, 0), c)."""
     pairs = [
-        (a, b, den, _sparse(vec))
+        (a, b, den, [(i, c) for i, c in enumerate(vec) if c])
         for (a, b), (vec, den) in sorted(_bch_components(L, k, l, xi, eta).items())
     ]
     num = math.factorial(k) * math.factorial(l)
@@ -574,7 +536,8 @@ def _star_bch_parts(L: LieAlgebra, xi: Vector, k: int, eta: Vector, l: int) -> l
 
     def backtrack(idx: int, a_left: int, b_left: int, used: int, partial: dict, den: int):
         if a_left == 0 and b_left == 0:
-            parts.append((k + l - used, num, den, partial))
+            terms = [((gamma, 0), c) for gamma, c in partial.items()]
+            parts.append((den, terms, num, k + l - used))
             return
         if idx == len(pairs):
             return
@@ -592,20 +555,15 @@ def _star_bch_parts(L: LieAlgebra, xi: Vector, k: int, eta: Vector, l: int) -> l
     return parts
 
 
-def _sparse(vec: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
-    return [(i, c) for i, c in enumerate(vec) if c]
-
-
 def _times_vector(
     p: dict[tuple[int, ...], Scalar], vec: list[tuple[int, Scalar]]
 ) -> dict[tuple[int, ...], Scalar]:
     """Sym product of a z-constant coefficient map with a sparse vector."""
     out: dict[tuple[int, ...], Scalar] = {}
-    for alpha, c in p.items():
-        for i, v in vec:
-            key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-            out[key] = out.get(key, 0) + c * v
-    return {alpha: c for alpha, c in out.items() if c}
+    for i, v in vec:
+        bumped = [(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :], c) for alpha, c in p.items()]
+        add_scaled(out, bumped, v)
+    return out
 
 
 def star_bch_elements(x: SymElement, y: SymElement) -> SymElement:
@@ -615,8 +573,8 @@ def star_bch_elements(x: SymElement, y: SymElement) -> SymElement:
     vectors (``_polarize``), so x * y is a weighted sum of power products
     (b . e)^k * (c . e)^l, each one ``star_bch`` by the composition formula.
     The power products are memoized, bounded, per (L, b, k, c, l), so
-    monomial pairs that share a direction share its product; the weighted
-    parts are summed on ints into one element.
+    monomial pairs that share a direction share its product; each weighted
+    power product is one part of ``sum_parts``.
     """
     x._require_same(y)
     if not (x.is_z_constant and y.is_z_constant):
@@ -629,9 +587,9 @@ def star_bch_elements(x: SymElement, y: SymElement) -> SymElement:
             for b, wb in x_dirs.items():
                 for c, wc in y_dirs.items():
                     w = wb * wc
-                    for e, num, den, terms in _power_parts(L, b, k, c, l):
-                        parts.append((e, num * w.numerator, den * w.denominator, terms))
-    return _sym_from_parts(L, parts)
+                    den, terms = _power_parts(L, b, k, c, l)
+                    parts.append((den * w.denominator, terms, w.numerator, 0))
+    return SymElement._raw(L, sum_parts(parts))
 
 
 def _polarize(x: SymElement) -> dict[int, dict[tuple[int, ...], Fraction]]:
@@ -647,26 +605,25 @@ def _polarize(x: SymElement) -> dict[int, dict[tuple[int, ...], Fraction]]:
     out: dict[int, dict[tuple[int, ...], Fraction]] = {}
     for alpha, coeff in x.items():
         k = sum(alpha)
-        c = coeff.constant_value() / math.factorial(k)
-        slot = out.setdefault(k, {})
+        terms = []
         for b in itertools.product(*(range(a + 1) for a in alpha)):
             g = math.gcd(*b)
             if k and not g:
                 continue  # (0 . e)^k = 0
-            key = tuple(v // (g or 1) for v in b)
             w = (-1) ** (k - sum(b)) * g**k * math.prod(map(math.comb, alpha, b))
-            slot[key] = slot.get(key, 0) + c * w
-    return {k: {b: w for b, w in slot.items() if w} for k, slot in out.items()}
+            terms.append((tuple(v // (g or 1) for v in b), w))
+        add_scaled(out.setdefault(k, {}), terms, coeff.constant_value() / math.factorial(k))
+    return out
 
 
 @lru_cache(maxsize=4096)
-def _power_parts(
-    L: LieAlgebra, b: tuple[int, ...], k: int, c: tuple[int, ...], l: int
-) -> tuple[tuple[int, int, int, dict], ...]:
-    """(b . e)^k * (c . e)^l for integer vectors b, c: the parts of
-    ``star_bch``, one per z-exponent.  The memo is bounded; its entries are
-    never mutated."""
-    return tuple(_combine_parts(_star_bch_parts(L, b, k, c, l)))
+def _power_parts(L: LieAlgebra, b: tuple[int, ...], k: int, c: tuple[int, ...], l: int) -> tuple:
+    """(b . e)^k * (c . e)^l for integer vectors b, c as the raw product
+    ``(D, (((gamma, e), n), ...))`` of the star memo: the parts of
+    ``star_bch`` summed once.  The memo is bounded; its entries are
+    immutable."""
+    common, acc = raw_sum(_star_bch_parts(L, b, k, c, l))
+    return common, tuple(acc.items())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -23,9 +24,9 @@ from typing import Optional
 
 from . import bch as bch_mod
 from . import experiments as exp_mod
-from .exprs import ExprError, format_element, parse_element
+from .exprs import DegreeError, ExprError, format_element, parse_element
 from .hopf import verify_hopf
-from .liealg import LieAlgebra, heisenberg, load_algebra, nilpotency_index
+from .liealg import LieAlgebra, basis_vector, bracket, heisenberg, load_algebra, nilpotency_index
 from .pbw import star, star_pbw
 from .sym import SymElement, random_element, sym_mul
 
@@ -91,9 +92,15 @@ def _parse_float_list(text: Optional[str], what: str) -> Optional[list[float]]:
 
 def cmd_mul(args) -> int:
     algebra, _ = _load_algebra_arg(args)
+    if args.check or args.method == "bch":
+        route, top = "BCH", bch_mod.MAX_TRUNCATION
+    else:
+        route, top = args.method, MUL_MAX_DEGREE
     try:
-        x = parse_element(algebra, args.x)
-        y = parse_element(algebra, args.y)
+        x = parse_element(algebra, args.x, max_degree=top)
+        y = parse_element(algebra, args.y, max_degree=top)
+    except DegreeError as exc:
+        raise UsageError(f"the {route} route: {exc}") from exc
     except ExprError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -104,10 +111,6 @@ def cmd_mul(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --z value {args.z!r}") from exc
     degree = x.max_degree + y.max_degree
-    if args.check or args.method == "bch":
-        route, top = "BCH", bch_mod.MAX_TRUNCATION
-    else:
-        route, top = args.method, MUL_MAX_DEGREE
     if degree > top:
         raise UsageError(f"the {route} route supports total degree up to {top}, got {degree}")
     pairs = len(x.items()) * len(y.items())
@@ -139,6 +142,13 @@ def cmd_mul(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _law(law: str, witnesses) -> tuple:
+    """The suite row of a law from the witnesses of its failing cases, read
+    lazily: (law, True) when there are none, else (law, False, the first)."""
+    witness = next(iter(witnesses), None)
+    return (law, True) if witness is None else (law, False, witness)
+
+
 def _suite_assoc(algebra: LieAlgebra, max_degree: int, seed: int):
     rng = random.Random(seed)
     unit = SymElement.unit(algebra)
@@ -147,38 +157,39 @@ def _suite_assoc(algebra: LieAlgebra, max_degree: int, seed: int):
         tuple(random_element(algebra, rng, per_factor, terms=2) for _ in range(3))
         for _ in range(6)
     ]
-    yield "unit law", all(
-        star_pbw(unit, x) == x and star_pbw(x, unit) == x for x, _, _ in triples
-    )
-    yield "associativity", all(
-        star_pbw(star_pbw(x, y), w) == star_pbw(x, star_pbw(y, w))
+    yield _law("unit law", (
+        str(x) for x, _, _ in triples if not star_pbw(unit, x) == x == star_pbw(x, unit)
+    ))
+    yield _law("associativity", (
+        f"{x} | {y} | {w}"
         for x, y, w in triples
-    )
-    yield "classical limit z=0", all(
-        star_pbw(x, y).evaluate_z(0) == sym_mul(x, y).evaluate_z(0)
+        if star_pbw(star_pbw(x, y), w) != star_pbw(x, star_pbw(y, w))
+    ))
+    yield _law("classical limit z=0", (
+        f"{x} | {y}"
         for x, y, _ in triples
-    )
-    first_order_ok = True
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            xi = SymElement.basis(algebra, i)
-            eta = SymElement.basis(algebra, j)
-            commutator = star_pbw(xi, eta) - star_pbw(eta, xi)
-            expected = SymElement.from_vector(algebra, _bracket_vec(algebra, i, j))
-            if commutator.z_coefficient(1) != expected:
-                first_order_ok = False
-    yield "first order commutator", first_order_ok
-    degree_ok = True
-    for x, y, _ in triples:
-        k, l = max(x.max_degree, 0), max(y.max_degree, 0)
-        if star_pbw(x, y).z_degree > max(k + l - 1, 0):
-            degree_ok = False
-    yield "z-degree bound", degree_ok
+        if star_pbw(x, y).evaluate_z(0) != sym_mul(x, y).evaluate_z(0)
+    ))
 
+    def first_order_fails(i: int, j: int) -> bool:
+        xi, eta = SymElement.basis(algebra, i), SymElement.basis(algebra, j)
+        commutator = star_pbw(xi, eta) - star_pbw(eta, xi)
+        e_i, e_j = basis_vector(algebra, i), basis_vector(algebra, j)
+        expected = SymElement.from_vector(algebra, bracket(algebra, e_i, e_j))
+        return commutator.z_coefficient(1) != expected
 
-def _bracket_vec(algebra: LieAlgebra, i: int, j: int):
-    row = algebra.basis_bracket(i, j)
-    return tuple(row.get(k, Fraction(0)) for k in range(algebra.dim))
+    names = algebra.basis_names
+    yield _law("first order commutator", (
+        f"{names[i]}, {names[j]}"
+        for i in range(algebra.dim)
+        for j in range(algebra.dim)
+        if first_order_fails(i, j)
+    ))
+    yield _law("z-degree bound", (
+        f"{x} | {y}"
+        for x, y, _ in triples
+        if star_pbw(x, y).z_degree > max(max(x.max_degree, 0) + max(y.max_degree, 0) - 1, 0)
+    ))
 
 
 def _suite_hopf(algebra: LieAlgebra, max_degree: int, seed: int):
@@ -219,30 +230,26 @@ def _suite_bch(algebra: LieAlgebra, max_degree: int, seed: int):
     recurrence_ok = True
     for n in range(31):
         total = sum(
-            Fraction((-1) ** (n - j)) * bern[j] / (_fact(j) * _fact(n + 1 - j))
+            Fraction((-1) ** (n - j)) * bern[j] / (math.factorial(j) * math.factorial(n + 1 - j))
             for j in range(n + 1)
         )
         if total != (1 if n == 0 else 0):
             recurrence_ok = False
     yield "Bernoulli recurrence n <= 30", recurrence_ok
     yield "|B*_n| <= n! for n <= 30", all(
-        abs(b) <= _fact(n) for n, b in enumerate(bern)
+        abs(b) <= math.factorial(n) for n, b in enumerate(bern)
     )
     degree = min(max_degree, 4)
-    law = f"BCH route equals star_pbw on mixed monomials to degree {degree}"
-    for alpha, beta in exp_mod.monomial_pairs(algebra, degree):
-        x = SymElement.monomial(algebra, alpha)
-        y = SymElement.monomial(algebra, beta)
-        if bch_mod.star_bch_elements(x, y) != star_pbw(x, y):
-            yield law, False, f"{alpha}|{beta}"
-            return
-    yield law, True
 
+    def disagree(alpha, beta) -> bool:
+        x, y = SymElement.monomial(algebra, alpha), SymElement.monomial(algebra, beta)
+        return bch_mod.star_bch_elements(x, y) != star_pbw(x, y)
 
-def _fact(n: int) -> int:
-    import math
-
-    return math.factorial(n)
+    yield _law(f"BCH route equals star_pbw on mixed monomials to degree {degree}", (
+        f"{alpha}|{beta}"
+        for alpha, beta in exp_mod.monomial_pairs(algebra, degree)
+        if disagree(alpha, beta)
+    ))
 
 
 def _suite_nilpotent(algebra: LieAlgebra, max_degree: int, seed: int):
@@ -251,30 +258,33 @@ def _suite_nilpotent(algebra: LieAlgebra, max_degree: int, seed: int):
         yield "algebra is not nilpotent", None  # nothing here applies: skip
         return
     yield "algebra is nilpotent", True
-    from .liealg import basis_vector
-
+    names = algebra.basis_names
     order = min(max_degree, 6)
-    xi = basis_vector(algebra, 0)
-    eta = basis_vector(algebra, min(1, algebra.dim - 1))
+    j = min(1, algebra.dim - 1)
+    xi, eta = basis_vector(algebra, 0), basis_vector(algebra, j)
     residual = bch_mod.exp_product_check(algebra, xi, eta, Fraction(1), order)
-    yield f"exp product identity to degree {order}", residual.is_zero
+    yield _law(f"exp product identity to degree {order}", (
+        [f"xi = {names[0]}, eta = {names[j]}, z = 1"] if residual else []
+    ))
     one_param = bch_mod.one_parameter_check(
         algebra, xi, Fraction(1), Fraction(-1, 2), Fraction(1), order
     )
-    yield "one-parameter group law", one_param.is_zero
-    vanish_ok = True
-    for alpha, beta in exp_mod.monomial_pairs(algebra, min(max_degree, 6)):
-        k, l = sum(alpha), sum(beta)
-        if k + l == 0:
-            continue
-        product = star_pbw(
-            SymElement.monomial(algebra, alpha), SymElement.monomial(algebra, beta)
-        )
-        cutoff = (k + l) * (index - 1) / index
-        for n in range(1, k + l):
-            if n > cutoff and not product.z_coefficient(n).is_zero:
-                vanish_ok = False
-    yield "C_n vanishing above the nilpotent degree bound", vanish_ok
+    yield _law("one-parameter group law", (
+        [f"xi = {names[0]}, t = 1, s = -1/2, z = 1"] if one_param else []
+    ))
+
+    def above_bound(alpha, beta) -> list[int]:
+        """The n above the nilpotent degree bound with a nonzero C_n."""
+        kl = sum(alpha) + sum(beta)
+        product = star_pbw(SymElement.monomial(algebra, alpha), SymElement.monomial(algebra, beta))
+        cutoff = kl * (index - 1) / index
+        return [n for n in range(1, kl) if n > cutoff and product.z_coefficient(n)]
+
+    yield _law("C_n vanishing above the nilpotent degree bound", (
+        f"{alpha}|{beta},n={n}"
+        for alpha, beta in exp_mod.monomial_pairs(algebra, order)
+        for n in above_bound(alpha, beta)
+    ))
 
 
 def cmd_verify(args) -> int:
@@ -288,8 +298,8 @@ def cmd_verify(args) -> int:
     }
     if args.suite not in VERIFY_SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {VERIFY_SUITES}")
-    if args.max_degree < 0:
-        raise UsageError("--max-degree must be nonnegative")
+    if args.max_degree < 1:
+        raise UsageError("--max-degree must be >= 1")
     names = list(suites) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:

@@ -71,6 +71,15 @@ SLACK = 1e-9
 Scalar = Union[int, Fraction]
 
 
+def _float(value: Scalar) -> float:
+    """value as a float, or an infinity where it is too large for one, so
+    that a row it enters fails as non-finite instead of raising."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass
 class SampleRow:
     params: str
@@ -299,7 +308,7 @@ def product_sweep(
         EstimateReport("product-estimate", f"R={R},z={z0},deg<={max_total_degree}")
         for R, z0 in grid
     ]
-    norms = _norms(q, [(R, constant * (abs(float(z0)) + 1.0)) for R, z0 in grid])
+    norms = _norms(q, [(R, constant * (abs(_float(z0)) + 1.0)) for R, z0 in grid])
     zs, zi = _distinct([z0 for _, z0 in grid])
     for x, qx, y, qy, tag in _pair_inputs(L, max_total_degree, n_random, seed, norms):
         terms = _at_z(p, star_pbw(x, y), zs)
@@ -417,7 +426,7 @@ def linear_factor_constant(R: float, z0: Scalar, terms: int = 120) -> float:
     Summed in log space: the Bernoulli numbers grow factorially, so the
     numerator and the n!^R denominator overflow floats separately long before
     their ratio does."""
-    az = abs(float(Fraction(z0)))
+    az = abs(_float(Fraction(z0)))
     bern = bernoulli_star(terms)
 
     def term(n: int, b: Fraction, R_power: float) -> float:
@@ -464,7 +473,7 @@ def linear_sweep(
     rng = random.Random(seed)
 
     def linear(eta: Vector) -> tuple[SymElement, float]:
-        return SymElement.from_vector(L, eta), float(p_sub.vector_norm(eta))
+        return SymElement.from_vector(L, eta), _float(p_sub.vector_norm(eta))
 
     def record(x: SymElement, px: list[float], y: SymElement, py: float, tag: str) -> None:
         k = max(x.max_degree, 0)
@@ -502,7 +511,7 @@ def _add_fold_rows(
     n = len(vectors)
     zs, zi = _distinct([z0 for _, z0, _, _ in points])
     terms = _at_z(p, _star_fold(L, vectors), zs)
-    weights = [float(q.vector_norm(v)) for v in vectors]
+    weights = [_float(q.vector_norm(v)) for v in vectors]
     for (R, _, c, S), i, report in zip(points, zi, reports):
         rhs = c**n * factorial_power(n, S)
         for w in weights:
@@ -524,7 +533,7 @@ def nfold_sweep(
     grid = [(R, Fraction(z0)) for R, z0 in grid]
     q = asymptotic_estimate(L, p)
     points = [
-        (R, z0, 8.0 * math.e * (abs(float(z0)) + 1.0) if constant is None else constant, R)
+        (R, z0, 8.0 * math.e * (abs(_float(z0)) + 1.0) if constant is None else constant, R)
         for R, z0 in grid
     ]
     reports = [EstimateReport("nfold-estimate", f"R={R},z={z0},n<={n_max}") for R, z0 in grid]
@@ -566,7 +575,7 @@ def nilpotent_sweep(
     q = asymptotic_estimate(L, p)
     c_cn = 32.0 * math.e if constant is None else constant
     c_folds = [
-        16.0 * math.e**2 * (abs(float(z0)) + 1.0) if constant is None else constant
+        16.0 * math.e**2 * (abs(_float(z0)) + 1.0) if constant is None else constant
         for _, z0 in grid
     ]
     points = [(R, z0, c, R + eps) for (R, z0), c, eps in zip(grid, c_folds, epss)]
@@ -680,13 +689,13 @@ def functorial_sweep(
     p = Seminorm.ell1(tgt)
     q = asymptotic_estimate(tgt, p)
     r = Seminorm(src, tuple(q.vector_norm(col) or Fraction(1) for col in phi.matrix))
-    cs = [8.0 * math.e * (abs(float(z0)) + 1.0) for _, z0 in grid]
+    cs = [8.0 * math.e * (abs(_float(z0)) + 1.0) for _, z0 in grid]
     zs, zi = _distinct([z0 for _, z0 in grid])
     for n in range(1, n_max + 1):
         for trial in range(3):
             vectors = [basis_vector(src, rng.randrange(src.dim)) for _ in range(n)]
             terms = _at_z(p, _star_fold(tgt, [phi.apply(v) for v in vectors]), zs)
-            weights = [float(r.vector_norm(v)) for v in vectors]
+            weights = [_float(r.vector_norm(v)) for v in vectors]
             for (R, _), i, c, report in zip(grid, zi, cs, reports):
                 rhs_norm = c**n * factorial_power(n, R)
                 for w in weights:
@@ -714,7 +723,7 @@ def weyl_sweep(
     L = heisenberg()
     p = Seminorm.ell1(L)
     scales = [
-        8.0 * (abs(float(z0)) + 1.0) * (abs(float(central)) + 1.0)
+        8.0 * (abs(_float(z0)) + 1.0) * (abs(_float(central)) + 1.0)
         if constant is None
         else constant
         for _, z0, central in grid
@@ -831,7 +840,7 @@ def run_experiment(
             reports.append(heisenberg_growth(R, e, k_max, z0).as_report())
     elif name == "linear-estimate":
         # points outside the lemma's parameter domain are left out
-        grid = [(R, z0) for R in Rs for z0 in zs if abs(float(z0)) < 2.0 * math.pi or R > 1]
+        grid = [(R, z0) for R in Rs for z0 in zs if abs(_float(z0)) < 2.0 * math.pi or R > 1]
         reports = linear_sweep(L, p, grid, k_max=min(k_max, 8), seed=seed) if grid else []
     elif name == "nfold-estimate":
         reports = nfold_sweep(L, p, [(R, z0) for R in Rs for z0 in zs], seed=seed)

@@ -8,7 +8,9 @@ grammar:
     RATIONAL :=  INT ('/' INT)?
 
 NAME resolves against the algebra's basis; ``z`` is reserved for the
-deformation variable.  Parse errors carry the offending position.  The
+deformation variable.  Parse errors carry the offending position.  An
+optional degree bound refuses a power or product above it before building
+it; an exponent counts against the bound even on a constant base.  The
 printer emits one fully expanded term per (monomial, z-power) pair, ordered
 by degree, multi-index and z-exponent, in a form the parser accepts again.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Optional
 
 from .liealg import LieAlgebra
 from .sym import SymElement, sym_mul
@@ -27,6 +30,10 @@ class ExprError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class DegreeError(ExprError):
+    """A power or product above the parser's degree bound."""
 
 
 _INT = re.compile(r"\d+")
@@ -57,8 +64,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, algebra: LieAlgebra, text: str):
+    def __init__(self, algebra: LieAlgebra, text: str, max_degree: Optional[int] = None):
         self.algebra = algebra
+        self.max_degree = max_degree
         self.tokens = _tokenize(text)
         self.index = 0
         self.end = len(text)
@@ -100,16 +108,22 @@ class _Parser:
             total = total - nxt if op == "-" else total + nxt
         return total
 
+    def bound(self, degree: int, pos: int) -> None:
+        """Refuse a degree above the parser's bound, if it has one."""
+        if self.max_degree is not None and degree > self.max_degree:
+            raise DegreeError(f"degree {degree} above the limit {self.max_degree}", pos)
+
     def term(self) -> SymElement:
         total = self.factor()
         while True:
             if self.at_op("*"):
                 self.take()
-                total = sym_mul(total, self.factor())
-            elif self.peek()[0] in ("int", "name") or self.at_op("("):
-                total = sym_mul(total, self.factor())
-            else:
+            elif not (self.peek()[0] in ("int", "name") or self.at_op("(")):
                 return total
+            pos = self.peek()[2]
+            nxt = self.factor()
+            self.bound(max(total.max_degree, 0) + max(nxt.max_degree, 0), pos)
+            total = sym_mul(total, nxt)
 
     def factor(self) -> SymElement:
         base = self.atom()
@@ -118,7 +132,9 @@ class _Parser:
             kind, value, pos = self.take()
             if kind != "int":
                 raise ExprError("exponent must be a nonnegative integer", pos)
-            return base ** int(value)
+            n = int(value)
+            self.bound(max(base.max_degree, 1) * n, pos)
+            return base**n
         return base
 
     def atom(self) -> SymElement:
@@ -150,8 +166,11 @@ class _Parser:
         raise ExprError(f"unexpected token {value!r}" if value else "unexpected end", pos)
 
 
-def parse_element(algebra: LieAlgebra, text: str) -> SymElement:
-    return _Parser(algebra, text).parse()
+def parse_element(
+    algebra: LieAlgebra, text: str, max_degree: Optional[int] = None
+) -> SymElement:
+    """The element the text denotes; ``DegreeError`` past ``max_degree``."""
+    return _Parser(algebra, text, max_degree).parse()
 
 
 def format_element(x: SymElement) -> str:

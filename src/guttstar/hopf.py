@@ -18,7 +18,7 @@ from math import comb
 from typing import Mapping, Optional, Union
 
 from .liealg import LieAlgebra
-from .pbw import star_pbw
+from .pbw import _context, star_pbw
 from .sym import (
     MultiIndex,
     RLike,
@@ -28,10 +28,11 @@ from .sym import (
     graded_sum,
     graded_term,
     random_element,
+    sum_parts,
     weight_ratio,
     weight_ratios,
 )
-from .zpoly import CoeffLike, PolyZ, zp_accumulate, zp_add_into, zp_mul
+from .zpoly import CoeffLike, PolyZ
 
 # ---------------------------------------------------------------------------
 # Sym (x) Sym and the structure maps
@@ -90,19 +91,28 @@ def counit(x: SymElement) -> PolyZ:
 
 
 def tensor_star(a: SymTensorElement, b: SymTensorElement) -> SymTensorElement:
-    """Componentwise star product on Sym (x) Sym."""
-    L = a.algebra
-    out: dict[tuple[MultiIndex, MultiIndex], dict] = {}
+    """Componentwise star product on Sym (x) Sym.
+
+    The tensor of the raw monomial products (D1, T1) and (D2, T2) is the raw
+    product over D1 D2 with the terms (((g1, g2), e1 + e2), n1 n2); each
+    pair of coefficient terms scales it into one part of ``sum_parts``."""
+    a._require_same(b)
+    ctx = _context(a.algebra)
+    parts = []
     for (a1, a2), ca in a.items():
         for (b1, b2), cb in b.items():
-            left = star_pbw(SymElement.monomial(L, a1), SymElement.monomial(L, b1))
-            right = star_pbw(SymElement.monomial(L, a2), SymElement.monomial(L, b2))
-            coeff = zp_mul(ca._c, cb._c)
-            for al, cl in left.items():
-                scaled = zp_mul(cl._c, coeff)
-                for ar, cr in right.items():
-                    zp_accumulate(out, (al, ar), scaled, cr._c)
-    return SymTensorElement._raw(L, {k: PolyZ._raw(c) for k, c in out.items()})
+            d1, left = ctx.star_monomials(a1, b1)
+            d2, right = ctx.star_monomials(a2, b2)
+            terms = [
+                (((g1, g2), e1 + e2), n1 * n2)
+                for (g1, e1), n1 in left
+                for (g2, e2), n2 in right
+            ]
+            for ea, va in ca.items():
+                for eb, vb in cb.items():
+                    den = d1 * d2 * va.denominator * vb.denominator
+                    parts.append((den, terms, va.numerator * vb.numerator, ea + eb))
+    return SymTensorElement._raw(a.algebra, sum_parts(parts))
 
 
 def tensor_counit_left(t: SymTensorElement) -> SymElement:
@@ -127,14 +137,17 @@ def _triple(t: SymTensorElement, left: bool) -> dict:
 
 
 def antipode_convolution(x: SymElement) -> SymElement:
-    """mu_star (S (x) id) Delta(x); equals eta(eps(x)) when the antipode law holds."""
-    L = x.algebra
-    out: dict[MultiIndex, dict] = {}
+    """mu_star (S (x) id) Delta(x); equals eta(eps(x)) when the antipode law holds.
+
+    Each coproduct term c xi^a (x) xi^b contributes (-1)^|a| c times the raw
+    monomial product xi^a * xi^b, one part of ``sum_parts`` per term of c."""
+    ctx = _context(x.algebra)
+    parts = []
     for (a, b), c in coproduct(x).items():
-        term = star_pbw(antipode(SymElement.monomial(L, a)), SymElement.monomial(L, b))
-        for alpha, t in term.items():
-            zp_accumulate(out, alpha, c._c, t._c)
-    return SymElement._raw(L, {k: PolyZ._raw(v) for k, v in out.items()})
+        den, terms = ctx.star_monomials(a, b)
+        for e, v in c.items():
+            parts.append((den * v.denominator, terms, (-1) ** sum(a) * v.numerator, e))
+    return SymElement._raw(x.algebra, sum_parts(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +297,12 @@ def weyl_project(x: SymElement, c: Union[int, Fraction]) -> WeylElement:
     if not is_heisenberg_shaped(x.algebra):
         raise ValueError("Weyl projection needs the 3-dim Heisenberg algebra shape")
     c = Fraction(c)
-    out: dict[tuple[int, int], dict] = {}
+    out: dict[tuple[int, int], PolyZ] = {}
     for (p_exp, q_exp, e_exp), coeff in x.items():
-        key = (q_exp, p_exp)
-        acc = out.setdefault(key, {})
-        zp_add_into(acc, coeff._c, c**e_exp)
-        if not acc:
-            del out[key]
-    return WeylElement._raw(c, {k: PolyZ._raw(v) for k, v in out.items()})
+        scale = c**e_exp
+        if scale:
+            WeylElement.accumulate(out, (q_exp, p_exp), coeff * scale)
+    return WeylElement._raw(c, out)
 
 
 def weyl_lift(L: LieAlgebra, w: WeylElement) -> SymElement:

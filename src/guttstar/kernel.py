@@ -22,30 +22,7 @@ passes integral constants as ``int``) and ``Fraction`` otherwise.
 
 from __future__ import annotations
 
-
-def add_scaled(out: dict, terms: dict, scale, shift: int = 0) -> None:
-    """out += scale * z^shift * terms on flat ``{(key, e): coeff}`` maps,
-    dropping zeros; ``scale`` must be nonzero."""
-    get = out.get
-    if shift:  # kept apart from the shift-free loop, which reuses the keys
-        for (w, e), c in terms.items():
-            key = (w, e + shift)
-            v = get(key)
-            if v is None:
-                out[key] = scale * c
-            elif v := v + scale * c:
-                out[key] = v
-            else:
-                del out[key]
-    else:
-        for key, c in terms.items():
-            v = get(key)
-            if v is None:
-                out[key] = scale * c
-            elif v := v + scale * c:
-                out[key] = v
-            else:
-                del out[key]
+from .zpoly import add_scaled
 
 
 class PbwKernel:
@@ -77,11 +54,11 @@ class PbwKernel:
         out = {}
         # e_letter e_b rest = e_b (e_letter rest) + z [e_letter, e_b] rest
         for (w, e), c in self.insert(letter, rest).items():
-            add_scaled(out, self.insert(b, w), c, e)
+            add_scaled(out, self.insert(b, w).items(), c, e)
         row = self._rows.get((letter, b))
         if row is not None:
             for k, c in row:
-                add_scaled(out, self.insert(k, rest), c, 1)
+                add_scaled(out, self.insert(k, rest).items(), c, 1)
         memo[key] = out
         return out
 
@@ -105,6 +82,6 @@ class PbwKernel:
         for letter in reversed(u):
             nxt = {}
             for (w, e), c in result.items():
-                add_scaled(nxt, self.insert(letter, w), c, e)
+                add_scaled(nxt, self.insert(letter, w).items(), c, e)
             result = nxt
         return result

@@ -323,14 +323,6 @@ def check_hom(phi: LieHom) -> HomReport:
     return HomReport(True)
 
 
-def compose(outer: LieHom, inner: LieHom) -> LieHom:
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise ValueError("composition domain mismatch")
-    return LieHom(
-        inner.source, outer.target, tuple(outer.apply(col) for col in inner.matrix)
-    )
-
-
 # ---------------------------------------------------------------------------
 # definition files
 # ---------------------------------------------------------------------------

@@ -23,25 +23,28 @@ monomial is its sorted word plus strictly shorter words.  The words still to
 be eliminated are kept as numerators over one common denominator D.  Taking
 off the words of length m reads each coefficient c / D, multiplies every
 remaining numerator and D by m!, and subtracts c Q(alpha), which is then
-exact: c/D q(xi^alpha) = c Q(alpha) / (D m!).  The result is
-``(D, ((alpha, e, n), ...))``: every numerator n over the final D, and with
-integral constants all of them ints reduced by their common gcd.
+exact: c/D q(xi^alpha) = c Q(alpha) / (D m!).  The result is the raw
+product ``(D, (((alpha, e), n), ...))``: every numerator n over the final D,
+and with integral constants all of them ints reduced by their common gcd.
 ``star_pbw`` is the pull-back product q_z^{-1}(q_z(x) . q_z(y)), computed per
 monomial pair as Q(alpha) Q(beta) / (|alpha|! |beta|!), and the reference
 oracle for every other product construction in this package.  The star memo
-keeps each monomial product in that ``(D, terms)`` form, immutable; the
-public products sum their pairs on the numerators over one common
-denominator and build each output coefficient as one ``Fraction``.  A
-product of two unit monomials is served from a second memo of ready
-``{gamma: PolyZ}`` maps, shared by every call: each call gets a fresh terms
-dict over the same PolyZ objects, which is safe because nothing mutates a
-PolyZ once built.
+keeps each monomial product in that raw form, immutable.  Every public
+product here is one call of ``sym.sum_parts``, the part-sum that the BCH
+route and the Hopf maps share: each pair of terms scales its raw monomial
+product into one part, and the parts are summed on the numerators over one
+common denominator, so each output coefficient is built once, as one
+``Fraction``.  A product of two unit monomials is served from a second memo
+of ready ``{gamma: PolyZ}`` maps, shared by every call: each call gets a
+fresh terms dict over the same PolyZ objects, which is safe because nothing
+mutates a PolyZ once built.
 
 Give every letter and z degree 1: the rewriting rule is then homogeneous,
 so a term of length m in Q(alpha), in a product of Q's or in any step of the
 elimination carries exactly z^(n - m).  Every internal map is therefore flat,
-``{(word or multi-index, e): coeff}`` or the star memo's ``(gamma, e, n)``
-triples, with e the power of z; the kernel counts e one bracket at a time.
+``{(word or multi-index, e): coeff}`` or the raw product's
+``((gamma, e), n)`` pairs, with e the power of z, and every accumulation runs
+through ``zpoly.add_scaled``; the kernel counts e one bracket at a time.
 ``star_pbw`` reads e as the z-exponent, while ``star_graded`` drops it and
 reweights by the degree drop, so the two routes still check each other.  One
 context (kernel, Q memo and the two star memos) serves each algebra and both
@@ -55,13 +58,13 @@ numerators, which are not reduced by a gcd.  Public elements always carry
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import Iterable
 
-from .kernel import PbwKernel, add_scaled
+from .kernel import PbwKernel
 from .liealg import LieAlgebra, LieHom, _bracket_table, check_hom
-from .sym import MultiIndex, SparseElement, SymElement, sym_mul
-from .zpoly import CoeffLike, PolyZ
+from .sym import MultiIndex, SparseElement, SymElement, grouped, sum_parts, sym_mul
+from .zpoly import CoeffLike, PolyZ, add_scaled
 
 Word = tuple[int, ...]
 _UNIT = {0: 1}  # the raw coefficient dict of the constant 1
@@ -110,6 +113,8 @@ class _Context:
             rows[(j, i)] = tuple((k, -c) for k, c in row)
         self.kernel = PbwKernel(algebra.dim, rows)
         self.q_cache: dict[MultiIndex, dict] = {}
+        # (word, e) -> (multi-index, e), one key object shared by every raw product
+        self.sym_keys: dict[tuple, tuple] = {}
         self.star_cache: dict[tuple[MultiIndex, MultiIndex], tuple] = {}
         # star_pbw of unit monomials as {gamma: PolyZ}, shared by every call
         self.unit_cache: dict[tuple[MultiIndex, MultiIndex], dict] = {}
@@ -128,7 +133,7 @@ class _Context:
         for i, a in enumerate(alpha):
             if a:
                 for (word, e), c in self.q_monomial(_decrement(alpha, i)).items():
-                    add_scaled(acc, insert(i, word), a * c, e)
+                    add_scaled(acc, insert(i, word).items(), a * c, e)
         self.q_cache[alpha] = acc
         return acc
 
@@ -137,32 +142,36 @@ class _Context:
         word_mul = self.kernel.word_mul
         for (u, eu), cu in a.items():
             for (v, ev), cv in b.items():
-                add_scaled(out, word_mul(u, v), cu * cv, eu + ev)
+                add_scaled(out, word_mul(u, v).items(), cu * cv, eu + ev)
         return out
 
     def q_raw(self, terms: dict) -> dict:
         out: dict = {}
         for (alpha, e), c in terms.items():
-            add_scaled(out, self.q_monomial(alpha), Fraction(c, factorial(sum(alpha))), e)
+            add_scaled(out, self.q_monomial(alpha).items(), Fraction(c, factorial(sum(alpha))), e)
         return out
 
     def q_inv_raw(self, u: dict, denom: int = 1) -> tuple:
         """q_z^{-1}(u / denom), by triangular elimination on the word length,
-        as ``(D, ((alpha, e, n), ...))``: the coefficient of z^e xi^alpha is
-        n / D.  Integer numerators come out reduced by their common gcd with D.
+        as the raw product ``(D, (((alpha, e), n), ...))``: the coefficient of
+        z^e xi^alpha is n / D.  Integer numerators come out reduced by their common gcd with D.
 
         Consumes u: its coefficients become the working numerators.
         """
         dim = self.algebra.dim
-        layers = []  # (D when the layer was taken off, [(alpha, e, c), ...])
+        layers = []  # (D when the layer was taken off, [((alpha, e), c), ...])
+        sym_keys = self.sym_keys
         remaining = u
         top_len = max(len(w) for w, _ in remaining) if remaining else 0
         while remaining:
             final = top_len < 2  # q is the identity on words of length 0 and 1
             layer = []
-            for (w, e), c in remaining.items():
-                if final or len(w) == top_len:
-                    layer.append((_word_to_multi(w, dim), e, c))
+            for key, c in remaining.items():
+                if final or len(key[0]) == top_len:
+                    sym_key = sym_keys.get(key)
+                    if sym_key is None:
+                        sym_key = sym_keys[key] = (_word_to_multi(key[0], dim), key[1])
+                    layer.append((sym_key, c))
             layers.append((denom, layer))
             if final:
                 break
@@ -172,24 +181,24 @@ class _Context:
             denom *= f
             # c/D q(xi^alpha) = c Q(alpha) / (D f): subtract c Q(alpha), whose top
             # word (f times the sorted word) cancels the layer's scaled numerator
-            for alpha, e, c in layer:
-                add_scaled(remaining, self.q_monomial(alpha), -c, e)
+            for (alpha, e), c in layer:
+                add_scaled(remaining, self.q_monomial(alpha).items(), -c, e)
             shorter = max(len(w) for w, _ in remaining) if remaining else 0
             assert shorter < top_len, "elimination failed"
             top_len = shorter
-        terms = [(alpha, e, c * (denom // d)) for d, layer in layers for alpha, e, c in layer]
+        terms = [(key, c * (denom // d)) for d, layer in layers for key, c in layer]
         try:
-            g = gcd(denom, *[n for _, _, n in terms])
+            g = gcd(denom, *[n for _, n in terms])
         except TypeError:  # Fraction numerators (rational constants or inputs)
             return denom, tuple(terms)
         if g > 1:
             denom //= g
-            terms = [(alpha, e, n // g) for alpha, e, n in terms]
+            terms = [(key, n // g) for key, n in terms]
         return denom, tuple(terms)
 
     def star_monomials(self, alpha: MultiIndex, beta: MultiIndex) -> tuple:
-        """Raw xi^alpha * xi^beta as ``(D, ((gamma, e, n), ...))``, the form
-        of ``q_inv_raw``; immutable, so callers may keep it."""
+        """Raw xi^alpha * xi^beta as ``(D, (((gamma, e), n), ...))``, the
+        form of ``q_inv_raw``; immutable, so callers may keep it."""
         key = (alpha, beta)
         cached = self.star_cache.get(key)
         if cached is None:
@@ -215,19 +224,6 @@ def _flatten(items: Iterable[tuple[tuple, PolyZ]]) -> dict:
     return {(key, e): c for key, p in items for e, c in p.items()}
 
 
-def _grouped(items: Iterable[tuple[tuple, CoeffLike]]) -> dict:
-    """The flat items ((key, e), coeff), each (key, e) once, as fresh
-    {key: PolyZ}."""
-    out: dict = {}
-    for (key, e), c in items:
-        p = out.get(key)
-        if p is None:
-            out[key] = PolyZ._raw({e: c})
-        else:
-            p._c[e] = c
-    return out
-
-
 _contexts: dict[LieAlgebra, _Context] = {}
 
 
@@ -248,33 +244,32 @@ def pbw_mul(a: PbwElement, b: PbwElement) -> PbwElement:
     a._require_same(b)
     ctx = _context(a.algebra)
     product = ctx.multiply_raw(_flatten(a.items()), _flatten(b.items()))
-    return PbwElement(a.algebra, _grouped(product.items()))
+    return PbwElement._raw(a.algebra, grouped(product.items()))
 
 
 def q_z(x: SymElement) -> PbwElement:
     """PBW symmetrization map Sym(g) -> U(g_z)."""
     ctx = _context(x.algebra)
-    return PbwElement(x.algebra, _grouped(ctx.q_raw(_flatten(x.items())).items()))
+    return PbwElement._raw(x.algebra, grouped(ctx.q_raw(_flatten(x.items())).items()))
 
 
 def q_z_inv(u: PbwElement) -> SymElement:
     """Exact inverse of q_z."""
     denom, terms = _context(u.algebra).q_inv_raw(_flatten(u.items()))
-    flat = (((alpha, e), Fraction(n, denom)) for alpha, e, n in terms)
-    return SymElement._raw(u.algebra, _grouped(flat))
+    return SymElement._raw(u.algebra, sum_parts([(denom, terms, 1, 0)]))
 
 
 def star_pbw(x: SymElement, y: SymElement) -> SymElement:
     """The star product q_z^{-1}(q_z(x) . q_z(y)); the oracle product.  The
     power of z of each term is the kernel's bracket count e.
 
-    Each pair of terms reads its monomial product from the star memo as
-    numerators n over one denominator D (ints for integral constants), and
-    every coefficient of the result is built as one ``Fraction`` at the end.  A pair of unit
-    monomials (one term each, coefficient exactly 1) is served from a second
-    memo of ready {gamma: PolyZ} maps: the result gets a fresh terms dict
-    over the memo's PolyZ objects, which is safe because a PolyZ is never
-    mutated once built.
+    Each pair of terms reads its monomial product from the star memo as a
+    raw product (D, terms), scaled by the pair's coefficients into one part,
+    and ``sum_parts`` sums the parts.  A pair of unit monomials (one term
+    each, coefficient exactly 1) is served from a second memo of ready
+    {gamma: PolyZ} maps: the result gets a fresh terms dict over the memo's
+    PolyZ objects, which is safe because a PolyZ is never mutated once
+    built.
     """
     x._require_same(y)
     ctx = _context(x.algebra)
@@ -287,9 +282,7 @@ def star_pbw(x: SymElement, y: SymElement) -> SymElement:
             key = (alpha, beta)
             shared = ctx.unit_cache.get(key)
             if shared is None:
-                shared = ctx.unit_cache[key] = _grouped(
-                    ((gamma, e), Fraction(n, denom)) for gamma, e, n in terms
-                )
+                shared = ctx.unit_cache[key] = sum_parts([(denom, terms, 1, 0)])
             return SymElement._raw(x.algebra, dict(shared))
     parts = []
     for alpha, ca in x.items():
@@ -299,7 +292,7 @@ def star_pbw(x: SymElement, y: SymElement) -> SymElement:
                 for eb, b in cb._c.items():
                     den = denom * a.denominator * b.denominator
                     parts.append((den, terms, a.numerator * b.numerator, ea + eb))
-    return SymElement._raw(x.algebra, _sum_parts(parts))
+    return SymElement._raw(x.algebra, sum_parts(parts))
 
 
 def star_graded(x: SymElement, y: SymElement) -> SymElement:
@@ -318,38 +311,11 @@ def star_graded(x: SymElement, y: SymElement) -> SymElement:
         for beta, cb in y.items():
             kl = sum(alpha) + sum(beta)
             denom, terms = ctx.star_monomials(alpha, beta)
-            drop = [(gamma, kl - sum(gamma), n) for gamma, _, n in terms]
+            drop = [((gamma, kl - sum(gamma)), n) for (gamma, _), n in terms]
             a, b = ca.coeff(0), cb.coeff(0)
             den = denom * a.denominator * b.denominator
             parts.append((den, drop, a.numerator * b.numerator, 0))
-    return SymElement._raw(x.algebra, _sum_parts(parts))
-
-
-def _sum_parts(parts: list) -> dict:
-    """sum num z^shift terms / den over the parts (den, ((gamma, e, n), ...),
-    num, shift), with den and num nonzero ints, as fresh {gamma: PolyZ}.
-
-    The sum runs on the numerators over the lcm of the parts' denominators,
-    so each output coefficient is one ``Fraction``.
-    """
-    if len(parts) == 1:
-        (den, terms, num, shift), = parts
-        return _grouped([((gamma, e + shift), Fraction(n * num, den)) for gamma, e, n in terms])
-    common = lcm(*(den for den, _, _, _ in parts))
-    acc: dict = {}
-    get = acc.get
-    for den, terms, num, shift in parts:
-        scale = num * (common // den)
-        for gamma, e, n in terms:
-            key = (gamma, e + shift)
-            v = get(key)
-            if v is None:
-                acc[key] = n * scale
-            elif v := v + n * scale:
-                acc[key] = v
-            else:
-                del acc[key]
-    return _grouped((key, Fraction(v, common)) for key, v in acc.items())
+    return SymElement._raw(x.algebra, sum_parts(parts))
 
 
 def lift_hom(phi: LieHom, x: SymElement) -> SymElement:
@@ -365,19 +331,26 @@ def lift_hom(phi: LieHom, x: SymElement) -> SymElement:
 def _lift_hom(phi: LieHom, x: SymElement) -> SymElement:
     """``lift_hom`` for a hom already checked and an element over its source:
     each monomial's image prod_i phi(e_i)^alpha_i is summed into one raw
-    coefficient map."""
+    coefficient map.  The image columns and the units are built trusted."""
     target = phi.target
-    images = [SymElement.from_vector(target, col) for col in phi.matrix]
+    basis = [tuple(int(k == i) for k in range(target.dim)) for i in range(target.dim)]
+    images = [
+        SymElement._raw(
+            target, {basis[k]: PolyZ._raw({0: Fraction(c)}) for k, c in enumerate(col) if c}
+        )
+        for col in phi.matrix
+    ]
+    unit = (0,) * target.dim
     out: dict = {}
     for alpha, coeff in x.items():
-        image = SymElement.unit(target)
+        image = SymElement._raw(target, {unit: PolyZ._raw({0: Fraction(1)})})
         for i, a in enumerate(alpha):
             for _ in range(a):
                 image = sym_mul(image, images[i])
-        flat = _flatten(image.items())
+        flat = _flatten(image.items()).items()
         for e, c in coeff.items():
             add_scaled(out, flat, c, e)
-    return SymElement._raw(target, _grouped(out.items()))
+    return SymElement._raw(target, grouped(out.items()))
 
 
 def star(x: SymElement, y: SymElement, method: str = "pbw") -> SymElement:

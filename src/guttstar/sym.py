@@ -13,6 +13,12 @@ graded norms
 
 exactly evaluable on every element here (n!^R itself is taken in floating
 point unless R is integral and an exact value is requested).
+
+The module also holds the package's one part-sum, ``sum_parts``: every
+product (PBW, graded, BCH and the Hopf maps) is a list of parts, each a raw
+product (D, terms) of integer numerators over one denominator scaled by an
+integer ratio and a power of z, and ``sum_parts`` turns them into public
+coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .liealg import LieAlgebra, as_vector
-from .zpoly import CoeffLike, PolyZ, ratio_add, zp_eval
+from .zpoly import CoeffLike, PolyZ, add_scaled, ratio_add, zp_eval
 
 MultiIndex = tuple[int, ...]
 RLike = Union[int, float, Fraction]
@@ -259,6 +265,41 @@ def sym_mul(x: SymElement, y: SymElement) -> SymElement:
         for b, cb in y.items():
             SparseElement.accumulate(out, tuple(i + j for i, j in zip(a, b)), ca * cb)
     return SymElement._raw(x.algebra, out)
+
+
+def grouped(items: Iterable[tuple[tuple, Fraction]]) -> dict:
+    """The flat items ((key, e), coeff), each (key, e) once and every coeff a
+    nonzero ``Fraction``, as fresh {key: PolyZ}."""
+    out: dict = {}
+    for (key, e), c in items:
+        p = out.get(key)
+        if p is None:
+            out[key] = PolyZ._raw({e: c})
+        else:
+            p._c[e] = c
+    return out
+
+
+def raw_sum(parts: list) -> tuple[int, dict]:
+    """The parts (den, terms, num, shift), each adding num z^shift terms / den
+    for raw terms ((key, e), n) and nonzero ints den and num, as one raw
+    product (D, {(key, e): n}) over the lcm D of the reduced num/den."""
+    common = math.lcm(*(den // math.gcd(num, den) for den, _, num, _ in parts))
+    acc: dict = {}
+    for den, terms, num, shift in parts:
+        add_scaled(acc, terms, num * common // den, shift)
+    return common, acc
+
+
+def sum_parts(parts: list) -> dict:
+    """The one part-sum of the package: the ``raw_sum`` of the parts as fresh
+    {key: PolyZ}, each coefficient one ``Fraction``.  One part, whose keys
+    are distinct as a raw product's are, is read off directly."""
+    if len(parts) == 1:
+        (den, terms, num, shift), = parts
+        return grouped(((key, e + shift), Fraction(n * num, den)) for (key, e), n in terms)
+    common, acc = raw_sum(parts)
+    return grouped((key, Fraction(v, common)) for key, v in acc.items())
 
 
 def project(x: SymElement, n: int) -> SymElement:

@@ -1,10 +1,16 @@
-"""Polynomials in the deformation variable z over exact rationals.
+"""Polynomials in the deformation variable z over exact rationals, and the
+package's one accumulate loop.
 
-Coefficients of all algebra elements live here: a ``PolyZ`` is a finitely
-supported map from nonnegative z-exponents to ``fractions.Fraction``, kept in
-canonical form (no stored zeros).  The hopf layer works on the plain dict
-representation directly; ``PolyZ`` wraps such dicts for the public API.  The
-kernel and the pbw layer keep z-exponents in their own flat keys instead.
+A ``PolyZ`` is a finitely supported map from nonnegative z-exponents to
+``fractions.Fraction``, kept in canonical form (no stored zeros); it is the
+coefficient type of every public element.  Internally the package keeps the
+z-exponent in flat keys instead: a flat map ``{(key, e): coeff}`` holds
+coeff z^e at key, and a raw product ``(D, terms)`` holds the pairs
+``((key, e), n)`` of numerators n over one denominator D.  ``add_scaled``
+adds a scaled, z-shifted run of such pairs into a flat map, dropping zeros;
+it is the one get/add/drop-zero loop that the kernel, the part-sum
+(``sym.sum_parts``), the BCH series and ``zp_add_into`` accumulate through.
+``zp_addmul_into`` keeps the z-polynomial product apart.
 """
 
 from __future__ import annotations
@@ -18,24 +24,41 @@ CoeffLike = Union[int, Fraction, "PolyZ"]
 _FZERO = Fraction(0)  # shared default of coeff(); Fraction is immutable
 
 # ---------------------------------------------------------------------------
-# plain-dict helpers (hot path; also used by the hopf and pbw layers)
+# plain-dict helpers (hot path; add_scaled also serves the kernel, sym, pbw, bch)
 # ---------------------------------------------------------------------------
+
+
+def add_scaled(out: dict, terms: Iterable[tuple], scale, shift: int = 0) -> None:
+    """out += scale * z^shift * terms, in place, dropping zeros, for the
+    (key, coeff) pairs ``terms`` (a dict's items or a raw product's terms)
+    and a nonzero ``scale``.  With ``shift`` each key is a (key, e) pair
+    whose e is raised by ``shift``; without it any key works."""
+    get = out.get
+    if shift:  # kept apart from the shift-free loop, which reuses the keys
+        for (w, e), c in terms:
+            key = (w, e + shift)
+            v = get(key)
+            if v is None:
+                out[key] = scale * c
+            elif v := v + scale * c:
+                out[key] = v
+            else:
+                del out[key]
+    else:
+        for key, c in terms:
+            v = get(key)
+            if v is None:
+                out[key] = scale * c
+            elif v := v + scale * c:
+                out[key] = v
+            else:
+                del out[key]
 
 
 def zp_add_into(acc: dict, other: Mapping[int, Fraction], scale: Fraction) -> None:
     """acc += scale * other, in place, dropping zeros."""
-    if not scale:
-        return
-    for e, c in other.items():
-        v = acc.get(e)
-        if v is None:
-            acc[e] = c * scale
-        else:
-            v = v + c * scale
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
+    if scale:
+        add_scaled(acc, other.items(), scale)
 
 
 def zp_addmul_into(acc: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> None:
@@ -52,16 +75,6 @@ def zp_addmul_into(acc: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) 
                     acc[e] = v
                 else:
                     del acc[e]
-
-
-def zp_accumulate(out: dict, key, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> None:
-    """out[key] += a * b for a dict of z-polynomials; drops an emptied slot."""
-    slot = out.get(key)
-    if slot is None:
-        slot = out[key] = {}
-    zp_addmul_into(slot, a, b)
-    if not slot:
-        del out[key]
 
 
 def zp_mul(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> dict:
@@ -145,9 +158,6 @@ class PolyZ:
 
     def items(self) -> Iterable[tuple[int, Fraction]]:
         return self._c.items()
-
-    def as_dict(self) -> dict:
-        return dict(self._c)
 
     def coeff(self, exponent: int) -> Fraction:
         return self._c.get(exponent, _FZERO)

@@ -416,3 +416,68 @@ def test_no_exp_convergence_windows_sum_their_own_terms():
         expected = math.fsum(math.exp(-0.1 * math.lgamma(n + 1)) for n in range(start + 1, start + 51))
         assert 0.0 < row.lhs < ex.NO_EXP_TAIL_TOLERANCE
         assert math.isclose(row.lhs, expected, rel_tol=1e-9)
+
+
+HUGE = 10**400  # past the largest float
+
+
+@pytest.mark.parametrize(
+    "name,kwargs",
+    [
+        ("product-estimate", {"z_list": [HUGE]}),
+        ("nfold-estimate", {"z_list": [HUGE]}),
+        ("nilpotent-estimate", {"z_list": [HUGE]}),
+        ("linear-estimate", {"z_list": [HUGE], "R_list": [2.0]}),
+        ("weyl-estimate", {"z_list": [HUGE]}),
+        ("functorial", {"z_list": [HUGE]}),
+        ("linear-estimate", {"weights": [HUGE, 1, 1]}),
+        ("nfold-estimate", {"weights": [HUGE, 1, 1]}),
+        ("nilpotent-estimate", {"weights": [HUGE, 1, 1]}),
+    ],
+)
+def test_float_overflow_fails_rows_as_non_finite(name, kwargs):
+    """A z or a weight past the float range makes the rows it enters fail as
+    non-finite instead of raising OverflowError."""
+    reports = ex.run_experiment(name, max_degree=2, k_max=2, **kwargs)
+    failures = [row for report in reports for row in report.failures()]
+    assert failures
+    assert all(not (math.isfinite(row.lhs) and math.isfinite(row.rhs)) for row in failures)
+
+
+def test_cli_float_overflow_exits_one(tmp_path, capsys):
+    from guttstar.cli import main
+
+    out = str(tmp_path)
+    product = ["experiment", "product-estimate", "--max-degree", "2", "--out", out]
+    assert main([*product, "--z", "1e400"]) == 1
+    assert main(["experiment", "nfold-estimate", "--weight", "0=1e400", "--out", out]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_functorial_sweep_lifts_homs_without_checked_constructions(monkeypatch):
+    """``_lift_hom`` builds its images and units trusted: a functorial sweep
+    makes no checked ``SparseElement`` construction from inside it."""
+    from guttstar.sym import SparseElement, SymElement
+
+    inside = [0]
+    counts = collections.Counter()
+    lift = ex._lift_hom
+    checked = SparseElement.__init__
+
+    def counted_lift(phi, x):
+        inside[0] += 1
+        try:
+            return lift(phi, x)
+        finally:
+            inside[0] -= 1
+
+    def counted_init(self, *args, **kwargs):
+        counts["inside" if inside[0] else "outside"] += 1
+        checked(self, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "_lift_hom", counted_lift)
+    monkeypatch.setattr(SparseElement, "__init__", counted_init)
+    monkeypatch.setattr(SymElement, "__init__", counted_init)
+    reports = ex.run_experiment("functorial", seed=3)
+    assert reports and all(report.passed for report in reports)
+    assert counts["inside"] == 0

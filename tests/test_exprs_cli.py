@@ -138,7 +138,15 @@ def test_cli_verify_rejects_negative_max_degree(suite, capsys):
     assert main(["verify", suite, "--max-degree", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --max-degree must be nonnegative\n"
+    assert captured.err == "error: --max-degree must be >= 1\n"
+
+
+@pytest.mark.parametrize("suite", ["hopf", "nilpotent", "all"])
+def test_cli_verify_rejects_zero_max_degree(suite, capsys):
+    assert main(["verify", suite, "--max-degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-degree must be >= 1\n"
 
 
 def test_cli_verify_nilpotent_skips_on_sl2(tmp_path, capsys):
@@ -304,6 +312,56 @@ def test_cli_verify_bch_prints_witness_of_a_wrong_bch_product(monkeypatch, capsy
     at = lines.index(f"  FAIL  {law}")
     assert lines[at + 1] == "        witness: (0, 1, 0)|(1, 0, 0)"
     assert sum("witness" in line for line in lines) == 1
+
+
+def _wrong_star(x, y):
+    """(2 + z^top) x y with top = k + l - 1: wrong on units, commutators, the
+    classical limit and the vanishing of C_n above the nilpotent bound."""
+    from guttstar.sym import sym_mul
+
+    top = max(max(x.max_degree, 0) + max(y.max_degree, 0) - 1, 1)
+    return sym_mul(x, y).scale(PolyZ({0: 2, top: 1}))
+
+
+@pytest.mark.parametrize("suite", ["assoc", "nilpotent"])
+def test_cli_verify_prints_a_witness_under_each_failing_law(suite, monkeypatch, capsys):
+    from guttstar import cli
+
+    monkeypatch.setattr(cli, "star_pbw", _wrong_star)
+    assert main(["verify", suite]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failing = [at for at, line in enumerate(lines) if line.startswith("  FAIL  ")]
+    assert failing
+    for at in failing:
+        assert lines[at + 1].startswith("        witness: "), lines[at]
+    assert sum("witness: " in line for line in lines) == len(failing)
+    if suite == "assoc":
+        assert "  FAIL  first order commutator" in lines
+        assert "        witness: P, Q" in lines
+    else:
+        at = lines.index("  FAIL  C_n vanishing above the nilpotent degree bound")
+        assert lines[at + 1] == "        witness: (0, 0, 0)|(0, 0, 3),n=2"
+
+
+@pytest.mark.parametrize("text", ["(P+Q+E)^200", "2^3000000", "P^99999999999"])
+def test_cli_mul_refuses_a_power_past_the_degree_limit_at_once(text, capsys):
+    import time
+
+    start = time.process_time()
+    assert main(["mul", text, "P"]) == 2
+    assert time.process_time() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: the pbw route: degree ") and "above the limit 30" in err
+    assert err.count("\n") == 1
+
+
+def test_parse_element_degree_bound(heis):
+    P = SymElement.basis(heis, 0)
+    assert parse_element(heis, "P^40") == P**40  # no bound by default
+    assert parse_element(heis, "P^3 Q^2", max_degree=5) == parse_element(heis, "P^3 Q^2")
+    for text in ("P^6", "P^3 Q^3", "P^2*(P+Q)^2*E^2", "2^6", "z^6", "(P-P)^6"):
+        with pytest.raises(ExprError):
+            parse_element(heis, text, max_degree=5)
 
 
 def test_cli_experiment_functorial_and_text_format(tmp_path, capsys):

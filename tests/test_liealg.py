@@ -14,7 +14,6 @@ from guttstar.liealg import (
     basis_vector,
     bracket,
     check_hom,
-    compose,
     heisenberg,
     load_algebra,
     make_algebra,
@@ -164,7 +163,8 @@ def test_check_hom_composition(heis):
     scale = make_hom(heis, heis, [[2, 0, 0], [0, 1, 0], [0, 0, 2]])
     other = make_hom(heis, heis, [[1, 0, 0], [0, 3, 0], [0, 0, 3]])
     assert check_hom(scale) and check_hom(other)
-    assert check_hom(compose(scale, other))
+    # scale after other: the product of the two diagonal matrices
+    assert check_hom(make_hom(heis, heis, [[2, 0, 0], [0, 3, 0], [0, 0, 6]]))
 
 
 # ---------------------------------------------------------------------------

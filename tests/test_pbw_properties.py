@@ -166,7 +166,7 @@ def memo_cases(draw):
 @given(case=memo_cases())
 @settings(deadline=None)
 def test_star_memo_holds_reduced_integer_numerators_of_the_definition(case):
-    """A star memo entry is (D, ((gamma, e, n), ...)) with n / D the
+    """A star memo entry is (D, (((gamma, e), n), ...)) with n / D the
     coefficient of z^e xi^gamma in q_z^{-1}(q_z(xi^alpha) q_z(xi^beta)); with
     integral structure constants D and every n are ints without a common
     factor."""
@@ -175,10 +175,10 @@ def test_star_memo_holds_reduced_integer_numerators_of_the_definition(case):
     star_pbw(x.scale(2), y)
     denom, terms = _context(L).star_cache[(alpha, beta)]
     if _is_integral(L):
-        assert all(type(v) is int for v in (denom, *(n for _, _, n in terms)))
-        assert math.gcd(denom, *(n for _, _, n in terms)) == 1
+        assert all(type(v) is int for v in (denom, *(n for _, n in terms)))
+        assert math.gcd(denom, *(n for _, n in terms)) == 1
     entry = {}
-    for gamma, e, n in terms:
+    for (gamma, e), n in terms:
         entry.setdefault(gamma, {})[e] = Fraction(n, denom)
     assert SymElement(L, {g: PolyZ(c) for g, c in entry.items()}) == q_z_inv(
         pbw_mul(q_z(x), q_z(y))
