@@ -80,9 +80,12 @@ def _parse_float_list(text: Optional[str], what: str) -> Optional[list[float]]:
     if text is None:
         return None
     try:
-        return [float(part) for part in text.split(",") if part]
+        values = [float(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise UsageError(f"bad {what} list {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"bad {what} list {text!r}: values must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +337,18 @@ def cmd_experiment(args) -> int:
             f"{args.name} always runs on the Heisenberg algebra with unit weights; "
             "--algebra and --weight do not apply"
         )
+    # without --eps, heisenberg-growth runs its fixed grid of (R, eps, z)
+    growth_grid = args.name == "heisenberg-growth" and args.eps is None
+    ignores = {
+        "--R": growth_grid,
+        "--z": growth_grid or args.name in ("cn-estimate", "hopf-estimate", "no-exp"),
+        "--eps": args.name != "heisenberg-growth",
+    }
+    given = {"--R": args.R, "--z": args.z, "--eps": args.eps}
+    unread = [flag for flag, ignored in ignores.items() if ignored and given[flag] is not None]
+    if unread:
+        without = " without --eps" if growth_grid else ""
+        raise UsageError(f"{args.name}{without} does not read {' or '.join(unread)}")
     algebra, weights = _load_algebra_arg(args)
     R_list = _parse_float_list(args.R, "--R")
     z_list = _parse_fraction_list(args.z, "--z")

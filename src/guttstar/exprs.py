@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .liealg import LieAlgebra
 from .sym import SymElement, sym_mul
@@ -36,30 +36,26 @@ class DegreeError(ExprError):
     """A power or product above the parser's degree bound."""
 
 
-_INT = re.compile(r"\d+")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|\s+")
+Token = tuple[str, Union[int, str], int]
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[Token]:
+    """(kind, value, position) of each token; an int token's value is its int."""
     tokens = []
     pos = 0
     while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch.isdigit():
-            m = _INT.match(text, pos)
-            tokens.append(("int", m.group(), pos))
-            pos = m.end()
-        elif ch.isalpha() or ch == "_":
-            m = _NAME.match(text, pos)
-            tokens.append(("name", m.group(), pos))
-            pos = m.end()
-        elif ch in "+-*/^()":
-            tokens.append(("op", ch, pos))
-            pos += 1
-        else:
-            raise ExprError(f"unexpected character {ch!r}", pos)
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ExprError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup == "int":
+            try:
+                tokens.append(("int", int(m.group()), pos))
+            except ValueError:  # more digits than int() converts
+                raise ExprError(f"{m.end() - pos}-digit literal is too long", pos) from None
+        elif m.lastgroup:
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
     return tokens
 
 
@@ -74,12 +70,12 @@ class _Parser:
         if "z" in self.names:
             raise ExprError("basis name 'z' collides with the deformation variable", 0)
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> Token:
         if self.index < len(self.tokens):
             return self.tokens[self.index]
         return ("end", "", self.end)
 
-    def take(self) -> tuple[str, str, int]:
+    def take(self) -> Token:
         tok = self.peek()
         self.index += 1
         return tok
@@ -132,24 +128,22 @@ class _Parser:
             kind, value, pos = self.take()
             if kind != "int":
                 raise ExprError("exponent must be a nonnegative integer", pos)
-            n = int(value)
-            self.bound(max(base.max_degree, 1) * n, pos)
-            return base**n
+            self.bound(max(base.max_degree, 1) * value, pos)
+            return base**value
         return base
 
     def atom(self) -> SymElement:
         kind, value, pos = self.take()
         if kind == "int":
-            numerator = int(value)
             if self.at_op("/"):
                 self.take()
                 kind2, value2, pos2 = self.take()
                 if kind2 != "int":
                     raise ExprError("denominator must be an integer", pos2)
-                if int(value2) == 0:
+                if value2 == 0:
                     raise ExprError("zero denominator", pos2)
-                return SymElement.unit(self.algebra, Fraction(numerator, int(value2)))
-            return SymElement.unit(self.algebra, numerator)
+                return SymElement.unit(self.algebra, Fraction(value, value2))
+            return SymElement.unit(self.algebra, value)
         if kind == "name":
             if value == "z":
                 return SymElement.unit(self.algebra, PolyZ.z())
@@ -163,7 +157,7 @@ class _Parser:
                 raise ExprError("expected ')'", self.peek()[2])
             self.take()
             return inner
-        raise ExprError(f"unexpected token {value!r}" if value else "unexpected end", pos)
+        raise ExprError(f"unexpected token {value!r}" if kind != "end" else "unexpected end", pos)
 
 
 def parse_element(

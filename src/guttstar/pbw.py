@@ -34,10 +34,9 @@ product here is one call of ``sym.sum_parts``, the part-sum that the BCH
 route and the Hopf maps share: each pair of terms scales its raw monomial
 product into one part, and the parts are summed on the numerators over one
 common denominator, so each output coefficient is built once, as one
-``Fraction``.  A product of two unit monomials is served from a second memo
-of ready ``{gamma: PolyZ}`` maps, shared by every call: each call gets a
-fresh terms dict over the same PolyZ objects, which is safe because nothing
-mutates a PolyZ once built.
+``Fraction``.  The star memo, the one table keyed by pairs, holds at most
+``STAR_MEMO_CAP`` products and is cleared when full; callers keep the
+immutable raw products they were handed, so a clear is safe at any point.
 
 Give every letter and z degree 1: the rewriting rule is then homogeneous,
 so a term of length m in Q(alpha), in a product of Q's or in any step of the
@@ -47,8 +46,7 @@ elimination carries exactly z^(n - m).  Every internal map is therefore flat,
 through ``zpoly.add_scaled``; the kernel counts e one bracket at a time.
 ``star_pbw`` reads e as the z-exponent, while ``star_graded`` drops it and
 reweights by the degree drop, so the two routes still check each other.  One
-context (kernel, Q memo and the two star memos) serves each algebra and both
-routes.
+context (kernel, Q memo and star memo) serves each algebra and both routes.
 
 Rational structure constants flow through the same code as ``Fraction``
 numerators, which are not reduced by a gcd.  Public elements always carry
@@ -67,7 +65,7 @@ from .sym import MultiIndex, SparseElement, SymElement, grouped, sum_parts, sym_
 from .zpoly import CoeffLike, PolyZ, add_scaled
 
 Word = tuple[int, ...]
-_UNIT = {0: 1}  # the raw coefficient dict of the constant 1
+STAR_MEMO_CAP = 4096  # monomial products held per algebra; cleared when full
 
 
 class PbwElement(SparseElement):
@@ -103,7 +101,14 @@ class PbwElement(SparseElement):
 
 
 class _Context:
-    """Kernel plus memo tables for one algebra, shared by every route."""
+    """Kernel plus memo tables for one algebra, shared by every route.
+
+    The star memo, keyed by pairs, holds at most ``STAR_MEMO_CAP`` entries,
+    enough for the working set of every default experiment sweep.  The
+    kernel's insert memo (per letter and sorted word), the Q memo (per
+    multi-index) and ``sym_keys`` (per sorted word and z-power) are not
+    capped: they grow with the degree in use, not with the pairs.
+    """
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
@@ -116,8 +121,6 @@ class _Context:
         # (word, e) -> (multi-index, e), one key object shared by every raw product
         self.sym_keys: dict[tuple, tuple] = {}
         self.star_cache: dict[tuple[MultiIndex, MultiIndex], tuple] = {}
-        # star_pbw of unit monomials as {gamma: PolyZ}, shared by every call
-        self.unit_cache: dict[tuple[MultiIndex, MultiIndex], dict] = {}
 
     # Internals speak flat maps with int numerators where the constants
     # allow; PolyZ and Fraction appear at the public boundary only, which
@@ -204,6 +207,8 @@ class _Context:
         if cached is None:
             product = self.multiply_raw(self.q_monomial(alpha), self.q_monomial(beta))
             cached = self.q_inv_raw(product, factorial(sum(alpha)) * factorial(sum(beta)))
+            if len(self.star_cache) >= STAR_MEMO_CAP:
+                self.star_cache.clear()
             self.star_cache[key] = cached
         return cached
 
@@ -265,25 +270,11 @@ def star_pbw(x: SymElement, y: SymElement) -> SymElement:
 
     Each pair of terms reads its monomial product from the star memo as a
     raw product (D, terms), scaled by the pair's coefficients into one part,
-    and ``sum_parts`` sums the parts.  A pair of unit monomials (one term
-    each, coefficient exactly 1) is served from a second memo of ready
-    {gamma: PolyZ} maps: the result gets a fresh terms dict over the memo's
-    PolyZ objects, which is safe because a PolyZ is never mutated once
-    built.
+    and ``sum_parts`` sums the parts; a product of two monomials with
+    z-constant coefficients is one part, read off directly.
     """
     x._require_same(y)
     ctx = _context(x.algebra)
-    if len(x._terms) == 1 and len(y._terms) == 1:
-        (alpha, ca), = x.items()
-        (beta, cb), = y.items()
-        if ca._c == _UNIT and cb._c == _UNIT:
-            # looked up on every call, so that the star memo's hits count these
-            denom, terms = ctx.star_monomials(alpha, beta)
-            key = (alpha, beta)
-            shared = ctx.unit_cache.get(key)
-            if shared is None:
-                shared = ctx.unit_cache[key] = sum_parts([(denom, terms, 1, 0)])
-            return SymElement._raw(x.algebra, dict(shared))
     parts = []
     for alpha, ca in x.items():
         for beta, cb in y.items():

@@ -88,6 +88,19 @@ def test_cli_mul_parse_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "x, position",
+    [("1" * 5000, 0), ("P^" + "1" * 5000, 2), ("1/" + "1" * 5000, 2), ("P²", 1), ("é", 0)],
+)
+def test_cli_mul_unreadable_literal_is_a_parse_error(x, position, capsys):
+    """A literal longer than int() converts, or a digit or letter outside
+    ASCII, is an ExprError at its position, not a traceback."""
+    assert main(["mul", x, "P"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and f"(at position {position})" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["mul", "P^7", "Q^6", "--method", "bch"],
@@ -267,6 +280,10 @@ HEIS_FILE = {
         (["weyl-estimate", "--algebra", "{file}"], "weyl-estimate always runs on the Heisenberg"),
         (["heisenberg-growth", "--algebra", "{file}"], "heisenberg-growth always runs on the Heisenberg"),
         (["weyl-estimate", "--weight", "2=3"], "--algebra and --weight do not apply"),
+        (["cn-estimate", "--R", "nan"], "values must be finite"),
+        (["cn-estimate", "--R", "inf"], "values must be finite"),
+        (["product-estimate", "--R", "1,-inf"], "values must be finite"),
+        (["hopf-estimate", "--R", "nan,1"], "values must be finite"),
     ],
 )
 def test_cli_experiment_rejects_vacuous_or_ignored_inputs(argv, message, tmp_path, capsys):
@@ -279,6 +296,28 @@ def test_cli_experiment_rejects_vacuous_or_ignored_inputs(argv, message, tmp_pat
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["cn-estimate", "--z", "1"], "cn-estimate does not read --z"),
+        (["hopf-estimate", "--z", "1"], "hopf-estimate does not read --z"),
+        (["no-exp", "--z", "1"], "no-exp does not read --z"),
+        (["heisenberg-growth", "--z", "1"], "heisenberg-growth without --eps does not read --z"),
+        (["heisenberg-growth", "--R", "0.5"], "heisenberg-growth without --eps does not read --R"),
+        (["heisenberg-growth", "--R", "1", "--z", "1"], "does not read --R or --z"),
+        (["product-estimate", "--eps", "0.125"], "product-estimate does not read --eps"),
+        (["weyl-estimate", "--eps", "0.125"], "weyl-estimate does not read --eps"),
+        (["no-exp", "--eps", "0.125", "--z", "1"], "no-exp does not read --z or --eps"),
+    ],
+)
+def test_cli_experiment_refuses_options_it_never_reads(argv, unread, tmp_path, capsys):
+    out_dir = tmp_path / "reports"
+    assert main(["experiment", *argv, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and unread in captured.err
+    assert captured.err.count("\n") == 1 and not out_dir.exists()
 
 
 def test_cli_verify_hopf_prints_witness(monkeypatch, capsys):

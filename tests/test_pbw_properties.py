@@ -5,11 +5,14 @@ rescalings of sl2.  The star memo tests add integral algebras and sl2."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guttstar import pbw
 from guttstar.liealg import _bracket_table, bracket, sl2
 from guttstar.pbw import _context, pbw_mul, q_z, q_z_inv, star_graded, star_pbw
 from guttstar.sym import SymElement
@@ -115,22 +118,13 @@ def unit_monomial_pairs(draw):
     return L, draw(index), draw(index), c
 
 
-def _snapshot(ctx):
-    """Both memo tables by value, down to each shared PolyZ's dict."""
-    units = {
-        key: {gamma: dict(p._c) for gamma, p in shared.items()}
-        for key, shared in ctx.unit_cache.items()
-    }
-    return dict(ctx.star_cache), units
-
-
 @given(case=unit_monomial_pairs())
 @settings(deadline=None)
 def test_unit_monomial_products_are_served_from_the_memo_unshared(case):
-    """Unit monomials take the memo fast path; a coefficient c != 1 takes the
-    general path, and both agree.  The result shares no mutable dict with
-    either memo table, so using it, even writing to its terms, leaves both
-    tables as they were."""
+    """Unit monomials and a coefficient c != 1 read the same star memo entry
+    and agree.  The entry is immutable, so the result shares no mutable dict
+    with the memo: using it, even writing to its terms, leaves the memo as it
+    was."""
     L, alpha, beta, c = case
     x, y = SymElement.monomial(L, alpha), SymElement.monomial(L, beta)
     product = star_pbw(x, y)
@@ -138,13 +132,49 @@ def test_unit_monomial_products_are_served_from_the_memo_unshared(case):
     assert star_pbw(x, y) == product
     ctx = _context(L)
     hash(ctx.star_cache[(alpha, beta)])  # immutable all the way down
-    assert product._terms is not ctx.unit_cache[(alpha, beta)]
-    before = _snapshot(ctx)
+    before = dict(ctx.star_cache)
     used = (product + product.scale(c)).evaluate_z(c) + product.evaluate_z(c)
     assert used == product.scale(1 + c).evaluate_z(c) + product.evaluate_z(c)
     product._terms.clear()
-    assert _snapshot(ctx) == before
+    assert ctx.star_cache == before
     assert star_pbw(x, y) == star_pbw(x.scale(c), y).scale(1 / c)
+
+
+def _monomial_products(L, degree):
+    """star_pbw of every pair of monomials up to the degree, and the largest
+    size the star memo reached on the way."""
+    indices = [a for a in itertools.product(range(degree + 1), repeat=L.dim) if sum(a) <= degree]
+    ctx = _context(L)
+    products, largest = {}, 0
+    for alpha in indices:
+        for beta in indices:
+            x, y = SymElement.monomial(L, alpha), SymElement.monomial(L, beta)
+            products[alpha, beta] = star_pbw(x, y)
+            largest = max(largest, len(ctx.star_cache))
+    # a product of sums clears the memo between its own pairs
+    low = [a for a in indices if sum(a) <= 2]
+    x = SymElement(L, {a: k + 1 for k, a in enumerate(low)})
+    products["sums"] = star_pbw(x, x.scale(-1) + SymElement.unit(L, 3))
+    return products, max(largest, len(ctx.star_cache))
+
+
+@given(L=nilpotent_algebras([0, 1, -1, 2]))
+@settings(deadline=None, max_examples=2)
+def test_star_memo_stays_within_its_cap_and_products_do_not_change(L):
+    """With the cap at 8, every monomial pair to degree 4 (on sl2 and on a
+    drawn nilpotent algebra) keeps the star memo at or below 8 entries, the
+    memo does fill up, and every product equals the one computed with the
+    cap lifted."""
+    for algebra in (sl2(), L):
+        runs = []
+        for cap in (sys.maxsize, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pbw, "_contexts", {})
+                mp.setattr(pbw, "STAR_MEMO_CAP", cap)
+                runs.append(_monomial_products(algebra, 4))
+        (lifted, _), (capped, largest) = runs
+        assert largest == 8
+        assert capped == lifted
 
 
 def _is_integral(L):

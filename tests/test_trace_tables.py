@@ -63,8 +63,8 @@ def test_memo_count_reads_the_one_context_per_algebra(layers, monkeypatch):
 @pytest.mark.parametrize("scale", [1, 3])
 def test_a_cold_star_product_runs_the_traced_star_path_once(monkeypatch, scale):
     """The benchmark times ``q_z^{-1}`` as ``_Context.q_inv_raw`` and counts
-    memo hits at ``_Context.star_monomials``: a cold product of one pair, on
-    the unit path and the general path, goes through each exactly once."""
+    memo hits at ``_Context.star_monomials``: a cold product of one pair,
+    of unit or scaled monomials, goes through each exactly once."""
     monkeypatch.setattr(pbw, "_contexts", {})
     calls = {"star_monomials": 0, "q_inv_raw": 0}
     for name in calls:
