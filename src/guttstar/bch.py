@@ -603,7 +603,7 @@ def _polarize(x: SymElement) -> dict[int, dict[tuple[int, ...], Fraction]]:
     and b = g b' with b' primitive contributes g^k (b' . e)^k.
     """
     out: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for alpha, coeff in x.items():
+    for (alpha, _), coeff in x._terms.items():
         k = sum(alpha)
         terms = []
         for b in itertools.product(*(range(a + 1) for a in alpha)):
@@ -612,7 +612,7 @@ def _polarize(x: SymElement) -> dict[int, dict[tuple[int, ...], Fraction]]:
                 continue  # (0 . e)^k = 0
             w = (-1) ** (k - sum(b)) * g**k * math.prod(map(math.comb, alpha, b))
             terms.append((tuple(v // (g or 1) for v in b), w))
-        add_scaled(out.setdefault(k, {}), terms, coeff.constant_value() / math.factorial(k))
+        add_scaled(out.setdefault(k, {}), terms, coeff / math.factorial(k))
     return out
 
 
@@ -745,4 +745,4 @@ def one_parameter_check(
 
 
 def _truncate(x: SymElement, order: int) -> SymElement:
-    return SymElement._raw(x.algebra, {a: c for a, c in x.items() if sum(a) <= order})
+    return SymElement._raw(x.algebra, {k: c for k, c in x._terms.items() if sum(k[0]) <= order})

@@ -136,7 +136,12 @@ def cmd_mul(args) -> int:
         result = star(x, y, method=args.method)
     if z0 is not None:
         result = result.evaluate_z(z0)
-    print(format_element(result))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact coefficients may pass str()'s default limit
+    try:
+        print(format_element(result))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -64,7 +64,6 @@ from .sym import (
     random_element,
     submultiplicative_scale,
 )
-from .zpoly import ONE
 
 SLACK = 1e-9
 
@@ -195,7 +194,7 @@ def monomial_pairs(
 
 def _monomial(L: LieAlgebra, alpha: tuple[int, ...]) -> SymElement:
     """xi^alpha for a valid multi-index, through the trusted constructor."""
-    return SymElement._raw(L, {alpha: ONE})
+    return SymElement._raw(L, {(alpha, 0): Fraction(1)})
 
 
 def _norms(

@@ -25,14 +25,13 @@ from .sym import (
     Seminorm,
     SparseElement,
     SymElement,
-    graded_sum,
     graded_term,
     random_element,
     sum_parts,
     weight_ratio,
     weight_ratios,
 )
-from .zpoly import CoeffLike, PolyZ
+from .zpoly import CoeffLike, PolyZ, add_scaled
 
 # ---------------------------------------------------------------------------
 # Sym (x) Sym and the structure maps
@@ -52,7 +51,7 @@ class SymTensorElement(SparseElement):
         return SymElement._key(algebra, a), SymElement._key(algebra, b)
 
     def __repr__(self) -> str:
-        return f"<SymTensorElement terms={len(self._terms)}>"
+        return f"<SymTensorElement terms={len(self.items())}>"
 
 
 def _split(alpha: MultiIndex):
@@ -68,17 +67,16 @@ def _split(alpha: MultiIndex):
 def coproduct(x: SymElement) -> SymTensorElement:
     """Shuffle-type coproduct; on a monomial xi^alpha it is
     sum_{0<=beta<=alpha} prod_i C(alpha_i, beta_i) xi^beta (x) xi^(alpha-beta)."""
-    out: dict[tuple[MultiIndex, MultiIndex], PolyZ] = {}
-    for alpha, coeff in x.items():
-        for key, mult in _split(alpha):
-            SparseElement.accumulate(out, key, coeff * mult)
+    out: dict = {}
+    for (alpha, e), c in x._terms.items():
+        add_scaled(out, [((key, e), mult) for key, mult in _split(alpha)], c)
     return SymTensorElement._raw(x.algebra, out)
 
 
 def antipode(x: SymElement) -> SymElement:
     """Multiplies the degree-n component by (-1)^n."""
     return SymElement._raw(
-        x.algebra, {a: c if sum(a) % 2 == 0 else -c for a, c in x.items()}
+        x.algebra, {k: c if sum(k[0]) % 2 == 0 else -c for k, c in x._terms.items()}
     )
 
 
@@ -99,8 +97,8 @@ def tensor_star(a: SymTensorElement, b: SymTensorElement) -> SymTensorElement:
     a._require_same(b)
     ctx = _context(a.algebra)
     parts = []
-    for (a1, a2), ca in a.items():
-        for (b1, b2), cb in b.items():
+    for ((a1, a2), ea), va in a._terms.items():
+        for ((b1, b2), eb), vb in b._terms.items():
             d1, left = ctx.star_monomials(a1, b1)
             d2, right = ctx.star_monomials(a2, b2)
             terms = [
@@ -108,31 +106,31 @@ def tensor_star(a: SymTensorElement, b: SymTensorElement) -> SymTensorElement:
                 for (g1, e1), n1 in left
                 for (g2, e2), n2 in right
             ]
-            for ea, va in ca.items():
-                for eb, vb in cb.items():
-                    den = d1 * d2 * va.denominator * vb.denominator
-                    parts.append((den, terms, va.numerator * vb.numerator, ea + eb))
+            den = d1 * d2 * va.denominator * vb.denominator
+            parts.append((den, terms, va.numerator * vb.numerator, ea + eb))
     return SymTensorElement._raw(a.algebra, sum_parts(parts))
 
 
 def tensor_counit_left(t: SymTensorElement) -> SymElement:
     """(eps (x) id) applied to a tensor."""
     zero = (0,) * t.algebra.dim
-    return SymElement._raw(t.algebra, {b: c for (a, b), c in t.items() if a == zero})
+    terms = {(b, e): c for ((a, b), e), c in t._terms.items() if a == zero}
+    return SymElement._raw(t.algebra, terms)
 
 
 def tensor_counit_right(t: SymTensorElement) -> SymElement:
     zero = (0,) * t.algebra.dim
-    return SymElement._raw(t.algebra, {a: c for (a, b), c in t.items() if b == zero})
+    terms = {(a, e): c for ((a, b), e), c in t._terms.items() if b == zero}
+    return SymElement._raw(t.algebra, terms)
 
 
 def _triple(t: SymTensorElement, left: bool) -> dict:
     """(Delta (x) id) of a tensor if left, else (id (x) Delta), as a
     triple-index dict."""
     out: dict = {}
-    for (a, b), c in t.items():
-        for (u, v), mult in _split(a if left else b):
-            SparseElement.accumulate(out, (u, v, b) if left else (a, u, v), c * mult)
+    for ((a, b), e), c in t._terms.items():
+        split = _split(a if left else b)
+        add_scaled(out, [(((u, v, b) if left else (a, u, v), e), m) for (u, v), m in split], c)
     return out
 
 
@@ -143,10 +141,9 @@ def antipode_convolution(x: SymElement) -> SymElement:
     monomial product xi^a * xi^b, one part of ``sum_parts`` per term of c."""
     ctx = _context(x.algebra)
     parts = []
-    for (a, b), c in coproduct(x).items():
+    for ((a, b), e), v in coproduct(x)._terms.items():
         den, terms = ctx.star_monomials(a, b)
-        for e, v in c.items():
-            parts.append((den * v.denominator, terms, (-1) ** sum(a) * v.numerator, e))
+        parts.append((den * v.denominator, terms, (-1) ** sum(a) * v.numerator, e))
     return SymElement._raw(x.algebra, sum_parts(parts))
 
 
@@ -228,10 +225,10 @@ def tensor_terms(p: Seminorm, t: SymTensorElement) -> list[tuple[int, Fraction, 
     in the order of t, for tensor_sum."""
     nums, dens = weight_ratios(p)
     out = []
-    for (a, b), c in t.items():
-        if not c.is_constant:
+    for ((a, b), e), c in t._terms.items():
+        if e:
             raise ValueError("tensor norm needs z-constant coefficients")
-        na, an, ad = weight_ratio(c.coeff(0), a, nums, dens)
+        na, an, ad = weight_ratio(c, a, nums, dens)
         nb, bn, bd = weight_ratio(1, b, nums, dens)
         out.append((na, Fraction(an * bn, ad * bd), nb))
     return out
@@ -287,7 +284,7 @@ class WeylElement(SparseElement):
     def __repr__(self) -> str:
         parts = [
             f"({c})*Q^{k}P^{l}"
-            for (k, l), c in sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]))
+            for (k, l), c in sorted(self.items(), key=lambda t: (sum(t[0]), t[0]))
         ]
         return "<WeylElement " + (" + ".join(parts) or "0") + f" | E={self.central}>"
 
@@ -297,11 +294,10 @@ def weyl_project(x: SymElement, c: Union[int, Fraction]) -> WeylElement:
     if not is_heisenberg_shaped(x.algebra):
         raise ValueError("Weyl projection needs the 3-dim Heisenberg algebra shape")
     c = Fraction(c)
-    out: dict[tuple[int, int], PolyZ] = {}
-    for (p_exp, q_exp, e_exp), coeff in x.items():
-        scale = c**e_exp
-        if scale:
-            WeylElement.accumulate(out, (q_exp, p_exp), coeff * scale)
+    out: dict = {}
+    # c^k vanishes only for c = 0 < k
+    terms = [(((q, p), e), v * c**k) for ((p, q, k), e), v in x._terms.items() if c or not k]
+    add_scaled(out, terms, 1)
     return WeylElement._raw(c, out)
 
 
@@ -309,7 +305,7 @@ def weyl_lift(L: LieAlgebra, w: WeylElement) -> SymElement:
     """The E-free representative of a Weyl element in Sym."""
     if not is_heisenberg_shaped(L):
         raise ValueError("Weyl lift needs the 3-dim Heisenberg algebra shape")
-    return SymElement._raw(L, {(l, k, 0): c for (k, l), c in w.items()})
+    return SymElement._raw(L, {((l, k, 0), e): c for ((k, l), e), c in w._terms.items()})
 
 
 def weyl_mul(L: LieAlgebra, a: WeylElement, b: WeylElement) -> WeylElement:
@@ -326,14 +322,9 @@ def weyl_terms(p: Seminorm, w: WeylElement) -> list[tuple[int, Fraction]]:
     for sym.graded_sum."""
     nums, dens = weight_ratios(p)
     out = []
-    for (k, l), c in w.items():
-        if not c.is_constant:
+    for ((k, l), e), c in w._terms.items():
+        if e:
             raise ValueError("norm needs z-constant coefficients; evaluate_z first")
-        n, num, den = weight_ratio(c.coeff(0), (l, k), nums, dens)  # P^l Q^k
+        n, num, den = weight_ratio(c, (l, k), nums, dens)  # P^l Q^k
         out.append((n, Fraction(num, den)))
     return out
-
-
-def weyl_pR(p: Seminorm, R: RLike, w: WeylElement, scale: float = 1.0) -> float:
-    """(scale*p)_R of a Weyl element in its Q^k P^l normal form."""
-    return graded_sum(weyl_terms(p, w), R, scale)

@@ -44,25 +44,26 @@ elimination carries exactly z^(n - m).  Every internal map is therefore flat,
 ``{(word or multi-index, e): coeff}`` or the raw product's
 ``((gamma, e), n)`` pairs, with e the power of z, and every accumulation runs
 through ``zpoly.add_scaled``; the kernel counts e one bracket at a time.
+Elements store the same flat form, so ``pbw_mul``, ``q_z`` and ``q_z_inv``
+pass their terms to the context and wrap its result unconverted.
 ``star_pbw`` reads e as the z-exponent, while ``star_graded`` drops it and
 reweights by the degree drop, so the two routes still check each other.  One
 context (kernel, Q memo and star memo) serves each algebra and both routes.
 
 Rational structure constants flow through the same code as ``Fraction``
-numerators, which are not reduced by a gcd.  Public elements always carry
-``Fraction`` coefficients.
+numerators, which are not reduced by a gcd.  Elements always store
+``Fraction`` coefficients, and show them per key as ``PolyZ``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Iterable
 
 from .kernel import PbwKernel
 from .liealg import LieAlgebra, LieHom, _bracket_table, check_hom
-from .sym import MultiIndex, SparseElement, SymElement, grouped, sum_parts, sym_mul
-from .zpoly import CoeffLike, PolyZ, add_scaled
+from .sym import MultiIndex, SparseElement, SymElement, sum_parts, sym_mul
+from .zpoly import CoeffLike, add_scaled
 
 Word = tuple[int, ...]
 STAR_MEMO_CAP = 4096  # monomial products held per algebra; cleared when full
@@ -90,7 +91,7 @@ class PbwElement(SparseElement):
         names = self.algebra.basis_names
         parts = [
             f"({c})*{'*'.join(names[i] for i in w) or '1'}"
-            for w, c in sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0]))
+            for w, c in sorted(self.items(), key=lambda t: (len(t[0]), t[0]))
         ]
         return "<PbwElement " + (" + ".join(parts) or "0") + ">"
 
@@ -224,11 +225,6 @@ def _word_to_multi(word: Word, dim: int) -> MultiIndex:
     return tuple(counts)
 
 
-def _flatten(items: Iterable[tuple[tuple, PolyZ]]) -> dict:
-    """Public (key, PolyZ) pairs as the flat map {(key, e): coeff}."""
-    return {(key, e): c for key, p in items for e, c in p.items()}
-
-
 _contexts: dict[LieAlgebra, _Context] = {}
 
 
@@ -248,19 +244,18 @@ def pbw_mul(a: PbwElement, b: PbwElement) -> PbwElement:
     """Product in U(g_z), rewritten to the normal-ordered basis."""
     a._require_same(b)
     ctx = _context(a.algebra)
-    product = ctx.multiply_raw(_flatten(a.items()), _flatten(b.items()))
-    return PbwElement._raw(a.algebra, grouped(product.items()))
+    return PbwElement._raw(a.algebra, ctx.multiply_raw(a._terms, b._terms))
 
 
 def q_z(x: SymElement) -> PbwElement:
     """PBW symmetrization map Sym(g) -> U(g_z)."""
     ctx = _context(x.algebra)
-    return PbwElement._raw(x.algebra, grouped(ctx.q_raw(_flatten(x.items())).items()))
+    return PbwElement._raw(x.algebra, ctx.q_raw(x._terms))
 
 
 def q_z_inv(u: PbwElement) -> SymElement:
     """Exact inverse of q_z."""
-    denom, terms = _context(u.algebra).q_inv_raw(_flatten(u.items()))
+    denom, terms = _context(u.algebra).q_inv_raw(dict(u._terms))  # q_inv_raw consumes its input
     return SymElement._raw(u.algebra, sum_parts([(denom, terms, 1, 0)]))
 
 
@@ -276,13 +271,11 @@ def star_pbw(x: SymElement, y: SymElement) -> SymElement:
     x._require_same(y)
     ctx = _context(x.algebra)
     parts = []
-    for alpha, ca in x.items():
-        for beta, cb in y.items():
+    for (alpha, ea), a in x._terms.items():
+        for (beta, eb), b in y._terms.items():
             denom, terms = ctx.star_monomials(alpha, beta)
-            for ea, a in ca._c.items():
-                for eb, b in cb._c.items():
-                    den = denom * a.denominator * b.denominator
-                    parts.append((den, terms, a.numerator * b.numerator, ea + eb))
+            den = denom * a.denominator * b.denominator
+            parts.append((den, terms, a.numerator * b.numerator, ea + eb))
     return SymElement._raw(x.algebra, sum_parts(parts))
 
 
@@ -298,12 +291,11 @@ def star_graded(x: SymElement, y: SymElement) -> SymElement:
         raise ValueError("star_graded needs z-constant inputs")
     ctx = _context(x.algebra)
     parts = []
-    for alpha, ca in x.items():
-        for beta, cb in y.items():
+    for (alpha, _), a in x._terms.items():
+        for (beta, _), b in y._terms.items():
             kl = sum(alpha) + sum(beta)
             denom, terms = ctx.star_monomials(alpha, beta)
             drop = [((gamma, kl - sum(gamma)), n) for (gamma, _), n in terms]
-            a, b = ca.coeff(0), cb.coeff(0)
             den = denom * a.denominator * b.denominator
             parts.append((den, drop, a.numerator * b.numerator, 0))
     return SymElement._raw(x.algebra, sum_parts(parts))
@@ -321,27 +313,28 @@ def lift_hom(phi: LieHom, x: SymElement) -> SymElement:
 
 def _lift_hom(phi: LieHom, x: SymElement) -> SymElement:
     """``lift_hom`` for a hom already checked and an element over its source:
-    each monomial's image prod_i phi(e_i)^alpha_i is summed into one raw
-    coefficient map.  The image columns and the units are built trusted."""
+    each monomial's image prod_i phi(e_i)^alpha_i, built once per monomial,
+    is summed into one flat coefficient map.  The image columns and the
+    units are built trusted."""
     target = phi.target
     basis = [tuple(int(k == i) for k in range(target.dim)) for i in range(target.dim)]
     images = [
-        SymElement._raw(
-            target, {basis[k]: PolyZ._raw({0: Fraction(c)}) for k, c in enumerate(col) if c}
-        )
+        SymElement._raw(target, {(basis[k], 0): Fraction(c) for k, c in enumerate(col) if c})
         for col in phi.matrix
     ]
-    unit = (0,) * target.dim
+    unit = ((0,) * target.dim, 0)
+    powers: dict = {}
     out: dict = {}
-    for alpha, coeff in x.items():
-        image = SymElement._raw(target, {unit: PolyZ._raw({0: Fraction(1)})})
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                image = sym_mul(image, images[i])
-        flat = _flatten(image.items()).items()
-        for e, c in coeff.items():
-            add_scaled(out, flat, c, e)
-    return SymElement._raw(target, grouped(out.items()))
+    for (alpha, e), c in x._terms.items():
+        image = powers.get(alpha)
+        if image is None:
+            image = SymElement._raw(target, {unit: Fraction(1)})
+            for i, a in enumerate(alpha):
+                for _ in range(a):
+                    image = sym_mul(image, images[i])
+            powers[alpha] = image
+        add_scaled(out, image._terms.items(), c, e)
+    return SymElement._raw(target, out)
 
 
 def star(x: SymElement, y: SymElement, method: str = "pbw") -> SymElement:

@@ -1,9 +1,12 @@
 """Graded symmetric-algebra elements and the weighted seminorm family.
 
-Elements of Sym(g) are stored as maps from multi-indices over the chosen
-basis to z-polynomial coefficients; the symmetric product is multi-index
-addition.  Seminorms are weighted l1 norms on the basis.  For those, the
-projective tensor power of a degree-n monomial xi^alpha is exactly
+Elements of Sym(g) hold their terms c z^e xi^alpha, over multi-indices in the
+chosen basis, flat as {(alpha, e): c}; the symmetric product adds multi-indices
+and exponents.  ``SparseElement`` is that storage for all four element types,
+with a ``PolyZ`` coefficient per key built only on demand.
+
+Seminorms are weighted l1 norms on the basis.  For those, the projective
+tensor power of a degree-n monomial xi^alpha is exactly
 prod_i w_i^alpha_i: the symmetrized tensor splits into n!/alpha! distinct
 words of weight alpha!/n! each, and distinct monomials have disjoint word
 support, so the l1 value is computable in closed form.  That makes the
@@ -17,8 +20,8 @@ point unless R is integral and an exact value is requested).
 The module also holds the package's one part-sum, ``sum_parts``: every
 product (PBW, graded, BCH and the Hopf maps) is a list of parts, each a raw
 product (D, terms) of integer numerators over one denominator scaled by an
-integer ratio and a power of z, and ``sum_parts`` turns them into public
-coefficients.
+integer ratio and a power of z, and ``sum_parts`` turns them into the flat
+``Fraction`` map an element stores.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .liealg import LieAlgebra, as_vector
@@ -37,13 +41,15 @@ RLike = Union[int, float, Fraction]
 
 
 class SparseElement:
-    """A finite map from basis keys to nonzero z-polynomial coefficients.
+    """Terms c z^e key, stored as the flat map ``_terms`` {(key, e): c} of
+    nonzero ``Fraction`` c, the key form of the raw products; ``items``,
+    ``coefficient`` and the reprs build a ``PolyZ`` per key on demand.
 
     A subclass names the field two operands must share (``_field``, with the
     error text ``_mismatch``) and checks its keys (``_key(owner, key)``
     returns the canonical key or raises ``ValueError``).  The public
-    constructor checks every key and merges repeats; ``_raw`` trusts a map
-    that is already canonical and does not copy it.
+    constructor checks every key and merges repeats; ``_raw`` trusts a flat
+    map that is already canonical and does not copy it.
     """
 
     __slots__ = ("_terms",)
@@ -52,29 +58,16 @@ class SparseElement:
 
     def __init__(self, algebra: LieAlgebra, terms: Mapping[object, CoeffLike] = ()):
         setattr(self, self._field, algebra)
-        clean: dict = {}
+        flat: dict = {}
         for key, coeff in dict(terms).items():
             key = self._key(algebra, key)
-            c = PolyZ.coerce(coeff)
-            if c:
-                self.accumulate(clean, key, c)
-        self._terms = clean
-
-    @staticmethod
-    def accumulate(out: dict, key, c: PolyZ) -> None:
-        """out[key] += c, dropping the slot when the sum is zero."""
-        prev = out.get(key)
-        if prev is not None:
-            c = c + prev
-        if c:
-            out[key] = c
-        elif prev is not None:
-            del out[key]
+            add_scaled(flat, [((key, e), c) for e, c in PolyZ.coerce(coeff).items()], 1)
+        self._terms = flat
 
     @classmethod
     def _raw(cls, owner, terms: dict):
-        """Trusted constructor: terms is already canonical (checked keys,
-        nonzero PolyZ coefficients) and is not copied."""
+        """Trusted constructor: terms is already a canonical flat map (checked
+        keys, nonzero ``Fraction`` coefficients) and is not copied."""
         x = cls.__new__(cls)
         setattr(x, cls._field, owner)
         x._terms = terms
@@ -88,10 +81,19 @@ class SparseElement:
             raise ValueError(self._mismatch)
 
     def items(self) -> Iterable[tuple]:
-        return self._terms.items()
+        """The (key, PolyZ) pairs, each coefficient a fresh ``PolyZ``."""
+        out: dict = {}
+        for (key, e), c in self._terms.items():
+            p = out.get(key)
+            if p is None:
+                out[key] = PolyZ._raw({e: c})
+            else:
+                p._c[e] = c
+        return out.items()
 
     def coefficient(self, key) -> PolyZ:
-        return self._terms.get(tuple(key), PolyZ())
+        key = tuple(key)
+        return PolyZ._raw({e: c for (k, e), c in self._terms.items() if k == key})
 
     @property
     def is_zero(self) -> bool:
@@ -105,8 +107,7 @@ class SparseElement:
             return NotImplemented
         self._require_same(other)
         out = dict(self._terms)
-        for key, c in other._terms.items():
-            self.accumulate(out, key, c)
+        add_scaled(out, other._terms.items(), 1)
         return self._raw(self._owner(), out)
 
     def __neg__(self):
@@ -116,18 +117,19 @@ class SparseElement:
         return self + (-other)
 
     def scale(self, coeff: CoeffLike):
-        c = PolyZ.coerce(coeff)
-        terms = {k: v * c for k, v in self._terms.items()} if c else {}
-        return self._raw(self._owner(), terms)
+        out: dict = {}
+        for e, c in PolyZ.coerce(coeff).items():
+            add_scaled(out, self._terms.items(), c, e)
+        return self._raw(self._owner(), out)
 
     def evaluate_z(self, z0: Union[int, Fraction]):
         """Substitute z = z0 in every coefficient."""
         z0 = Fraction(z0)
         out = {}
-        for k, c in self._terms.items():
-            v = zp_eval(c._c, z0)
+        for k, p in self.items():
+            v = zp_eval(p._c, z0)
             if v:
-                out[k] = PolyZ._raw({0: v})
+                out[(k, 0)] = v
         return self._raw(self._owner(), out)
 
     def __eq__(self, other: object) -> bool:
@@ -196,22 +198,21 @@ class SymElement(SparseElement):
     @property
     def max_degree(self) -> int:
         """Top polynomial degree; -1 for the zero element."""
-        return max((sum(a) for a in self._terms), default=-1)
+        return max((sum(a) for a, _ in self._terms), default=-1)
 
     @property
     def z_degree(self) -> int:
-        return max((c.degree for c in self._terms.values()), default=-1)
+        return max((e for _, e in self._terms), default=-1)
 
     @property
     def is_z_constant(self) -> bool:
-        return all(c.is_constant for c in self._terms.values())
+        return not any(e for _, e in self._terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(a) for a in self._terms}
-        return len(degs) <= 1
+        return len(self.degrees()) <= 1
 
     def degrees(self) -> list[int]:
-        return sorted({sum(a) for a in self._terms})
+        return sorted({sum(a) for a, _ in self._terms})
 
     # algebra --------------------------------------------------------------------
 
@@ -236,17 +237,14 @@ class SymElement(SparseElement):
         if n < 0:
             raise ValueError("degree must be nonnegative")
         return SymElement._raw(
-            self.algebra, {a: c for a, c in self._terms.items() if sum(a) == n}
+            self.algebra, {k: c for k, c in self._terms.items() if sum(k[0]) == n}
         )
 
     def z_coefficient(self, n: int) -> "SymElement":
         """The Sym-valued coefficient of z^n."""
-        out = {}
-        for a, c in self._terms.items():
-            v = c._c.get(n)
-            if v is not None:
-                out[a] = PolyZ._raw({0: v})
-        return SymElement._raw(self.algebra, out)
+        return SymElement._raw(
+            self.algebra, {(a, 0): c for (a, e), c in self._terms.items() if e == n}
+        )
 
     def __str__(self) -> str:
         from .exprs import format_element
@@ -260,24 +258,11 @@ class SymElement(SparseElement):
 def sym_mul(x: SymElement, y: SymElement) -> SymElement:
     """Commutative graded product: multi-index addition on monomials."""
     x._require_same(y)
-    out: dict[MultiIndex, PolyZ] = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            SparseElement.accumulate(out, tuple(i + j for i, j in zip(a, b)), ca * cb)
-    return SymElement._raw(x.algebra, out)
-
-
-def grouped(items: Iterable[tuple[tuple, Fraction]]) -> dict:
-    """The flat items ((key, e), coeff), each (key, e) once and every coeff a
-    nonzero ``Fraction``, as fresh {key: PolyZ}."""
     out: dict = {}
-    for (key, e), c in items:
-        p = out.get(key)
-        if p is None:
-            out[key] = PolyZ._raw({e: c})
-        else:
-            p._c[e] = c
-    return out
+    for (a, ea), ca in x._terms.items():
+        terms = [((tuple(map(add, a, b)), ea + eb), cb) for (b, eb), cb in y._terms.items()]
+        add_scaled(out, terms, ca)
+    return SymElement._raw(x.algebra, out)
 
 
 def raw_sum(parts: list) -> tuple[int, dict]:
@@ -292,14 +277,14 @@ def raw_sum(parts: list) -> tuple[int, dict]:
 
 
 def sum_parts(parts: list) -> dict:
-    """The one part-sum of the package: the ``raw_sum`` of the parts as fresh
-    {key: PolyZ}, each coefficient one ``Fraction``.  One part, whose keys
-    are distinct as a raw product's are, is read off directly."""
+    """The one part-sum of the package: the ``raw_sum`` of the parts as a
+    fresh flat map {(key, e): coeff}, each coeff one ``Fraction``.  One part,
+    whose keys are distinct as a raw product's are, is read off directly."""
     if len(parts) == 1:
         (den, terms, num, shift), = parts
-        return grouped(((key, e + shift), Fraction(n * num, den)) for (key, e), n in terms)
+        return {(key, e + shift): Fraction(n * num, den) for (key, e), n in terms}
     common, acc = raw_sum(parts)
-    return grouped((key, Fraction(v, common)) for key, v in acc.items())
+    return {key: Fraction(v, common) for key, v in acc.items()}
 
 
 def project(x: SymElement, n: int) -> SymElement:
@@ -337,7 +322,7 @@ def random_element(
         for _ in range(rng.randint(0, max_degree)):
             alpha[rng.randrange(algebra.dim)] += 1
         num = rng.randint(-9, 9) or 1
-        data[tuple(alpha)] = PolyZ._raw({0: Fraction(num, rng.randint(1, 9))})
+        data[(tuple(alpha), 0)] = Fraction(num, rng.randint(1, 9))
     return SymElement._raw(algebra, data)
 
 
@@ -449,10 +434,10 @@ def pn_by_degree(p: Seminorm, x: SymElement) -> dict[int, Fraction]:
     least common denominator; only the final value is a Fraction."""
     nums, dens = weight_ratios(p)
     acc: dict[int, tuple[int, int]] = {}
-    for alpha, c in x.items():
-        if not c.is_constant:
+    for (alpha, e), c in x._terms.items():
+        if e:
             raise ValueError("pn_norm needs z-constant coefficients; evaluate_z first")
-        n, num, den = weight_ratio(c.coeff(0), alpha, nums, dens)
+        n, num, den = weight_ratio(c, alpha, nums, dens)
         prev = acc.get(n)
         acc[n] = (num, den) if prev is None else ratio_add(*prev, num, den)
     return {n: Fraction(num, den) for n, (num, den) in acc.items()}

@@ -1,16 +1,16 @@
 """Polynomials in the deformation variable z over exact rationals, and the
 package's one accumulate loop.
 
-A ``PolyZ`` is a finitely supported map from nonnegative z-exponents to
-``fractions.Fraction``, kept in canonical form (no stored zeros); it is the
-coefficient type of every public element.  Internally the package keeps the
-z-exponent in flat keys instead: a flat map ``{(key, e): coeff}`` holds
-coeff z^e at key, and a raw product ``(D, terms)`` holds the pairs
-``((key, e), n)`` of numerators n over one denominator D.  ``add_scaled``
-adds a scaled, z-shifted run of such pairs into a flat map, dropping zeros;
-it is the one get/add/drop-zero loop that the kernel, the part-sum
-(``sym.sum_parts``), the BCH series and ``zp_add_into`` accumulate through.
-``zp_addmul_into`` keeps the z-polynomial product apart.
+The package keeps the z-exponent in flat keys: a flat map {(key, e): coeff},
+which every element stores, holds coeff z^e at key, and a raw product
+``(D, terms)`` holds the pairs ``((key, e), n)`` of numerators n over one
+denominator D.  ``add_scaled`` adds a scaled, z-shifted run of such pairs into
+a flat map, dropping zeros; it is the one get/add/drop-zero loop that the
+elements, the kernel, the part-sum (``sym.sum_parts``), the BCH series and
+``zp_add_into`` accumulate through.  A ``PolyZ``, a canonical map from
+nonnegative z-exponents to nonzero ``Fraction``, is only the public view of
+one key's coefficient, built on demand.  ``zp_addmul_into`` keeps the
+z-polynomial product apart.
 """
 
 from __future__ import annotations
@@ -246,7 +246,3 @@ class PolyZ:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
-
-ZERO = PolyZ()
-ONE = PolyZ(1)
-Z = PolyZ.z()

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,20 @@ def test_cli_mul(capsys):
     assert main(["mul", "P^2", "Q^2", "--method", "bch", "--check"]) == 0
     out = capsys.readouterr().out
     assert "methods agree" in out
+
+
+def test_cli_mul_prints_a_coefficient_past_the_default_digit_limit(capsys):
+    """A product coefficient longer than str() converts by default is printed
+    in full, and the limit is restored afterwards."""
+    nines = "9" * 4000
+    limit = sys.get_int_max_str_digits()
+    assert main(["mul", nines, nines]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert capsys.readouterr().out.strip() == str(int(nines) ** 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cli_mul_parse_error(capsys):

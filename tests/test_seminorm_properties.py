@@ -14,14 +14,15 @@ from guttstar.hopf import (
     WeylElement,
     coproduct,
     tensor_pR,
-    weyl_pR,
     weyl_project,
+    weyl_terms,
 )
 from guttstar.liealg import make_algebra, sl2
 from guttstar.sym import (
     Seminorm,
     SymElement,
     factorial_power_exact,
+    graded_sum,
     graded_term,
     pn_norm,
     pR_norm,
@@ -229,10 +230,10 @@ def test_weyl_project_evaluate_and_norm_match_definitions(case, R, scale, data):
     for (k, l), c in value.items():
         part = abs(c.constant_value()) * p.weights[1] ** k * p.weights[0] ** l
         total += graded_term(k + l, R, part, scale)
-    assert weyl_pR(p, R, value, scale) == total
+    assert graded_sum(weyl_terms(p, value), R, scale) == total
     if not all(c.is_constant for _, c in w.items()):
         with pytest.raises(ValueError):
-            weyl_pR(p, R, w, scale)
+            graded_sum(weyl_terms(p, w), R, scale)
 
 
 @given(case=norm_cases())
