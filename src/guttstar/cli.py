@@ -39,6 +39,9 @@ MUL_MAX_DEGREE = 30
 # monomial product per pair: on Heisenberg, (P+Q+E)^12 squared (8,281 pairs,
 # degree 24) ends in about 2.5 s
 MUL_MAX_TERM_PAIRS = 10_000
+# limit of `verify --max-degree` (a third of it is the assoc suite's factor
+# degree): `verify all` on sl2 takes 1-3.2 s at 24, 5.5-21 s at 30 (seeds 0-4)
+VERIFY_MAX_DEGREE = 24
 
 
 class UsageError(Exception):
@@ -67,23 +70,18 @@ def _load_algebra_arg(args) -> tuple[LieAlgebra, list[Fraction]]:
     return algebra, weights
 
 
-def _parse_fraction_list(text: Optional[str], what: str) -> Optional[list[Fraction]]:
+def _parse_list(text: Optional[str], what: str, kind: type) -> Optional[list]:
+    """The comma-separated values of kind (Fraction or float) in text; an
+    empty list and a float that is not finite are usage errors."""
     if text is None:
         return None
     try:
-        return [Fraction(part) for part in text.split(",") if part]
+        values = [kind(part) for part in text.split(",") if part]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad {what} list {text!r}") from exc
-
-
-def _parse_float_list(text: Optional[str], what: str) -> Optional[list[float]]:
-    if text is None:
-        return None
-    try:
-        values = [float(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise UsageError(f"bad {what} list {text!r}") from exc
-    if not all(map(math.isfinite, values)):
+    if not values:
+        raise UsageError(f"bad {what} list {text!r}: no values")
+    if kind is float and not all(map(math.isfinite, values)):
         raise UsageError(f"bad {what} list {text!r}: values must be finite")
     return values
 
@@ -308,6 +306,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {VERIFY_SUITES}")
     if args.max_degree < 1:
         raise UsageError("--max-degree must be >= 1")
+    if args.max_degree > VERIFY_MAX_DEGREE:
+        raise UsageError(f"--max-degree must be <= {VERIFY_MAX_DEGREE}")
     names = list(suites) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
@@ -355,8 +355,8 @@ def cmd_experiment(args) -> int:
         without = " without --eps" if growth_grid else ""
         raise UsageError(f"{args.name}{without} does not read {' or '.join(unread)}")
     algebra, weights = _load_algebra_arg(args)
-    R_list = _parse_float_list(args.R, "--R")
-    z_list = _parse_fraction_list(args.z, "--z")
+    R_list = _parse_list(args.R, "--R", float)
+    z_list = _parse_list(args.z, "--z", Fraction)
     try:
         reports = exp_mod.run_experiment(
             args.name,

@@ -26,6 +26,7 @@ from .sym import (
     SparseElement,
     SymElement,
     graded_term,
+    index_tuple,
     random_element,
     sum_parts,
     weight_ratio,
@@ -44,9 +45,7 @@ class SymTensorElement(SparseElement):
     __slots__ = ("algebra",)
 
     @staticmethod
-    def _key(
-        algebra: LieAlgebra, pair: tuple[MultiIndex, MultiIndex]
-    ) -> tuple[MultiIndex, MultiIndex]:
+    def _key(algebra: LieAlgebra, pair: tuple[MultiIndex, MultiIndex]) -> tuple:
         a, b = pair
         return SymElement._key(algebra, a), SymElement._key(algebra, b)
 
@@ -275,10 +274,10 @@ class WeylElement(SparseElement):
         super().__init__(Fraction(central), terms)
 
     @staticmethod
-    def _key(central: Fraction, key: tuple[int, int]) -> tuple[int, int]:
-        key = tuple(int(e) for e in key)
-        if len(key) != 2 or min(key) < 0:
-            raise ValueError(f"bad exponent pair {key}")
+    def _key(central: Fraction, pair: tuple[int, int]) -> tuple[int, int]:
+        key = index_tuple(pair)
+        if key is None or len(key) != 2 or min(key) < 0:
+            raise ValueError(f"bad exponent pair {pair!r}")
         return key
 
     def __repr__(self) -> str:

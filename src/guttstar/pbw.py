@@ -62,7 +62,7 @@ from math import factorial, gcd
 
 from .kernel import PbwKernel
 from .liealg import LieAlgebra, LieHom, _bracket_table, check_hom
-from .sym import MultiIndex, SparseElement, SymElement, sum_parts, sym_mul
+from .sym import MultiIndex, SparseElement, SymElement, index_tuple, sum_parts, sym_mul
 from .zpoly import CoeffLike, add_scaled
 
 Word = tuple[int, ...]
@@ -76,12 +76,12 @@ class PbwElement(SparseElement):
 
     @staticmethod
     def _key(algebra: LieAlgebra, word: Word) -> Word:
-        word = tuple(word)
-        if any(not 0 <= i < algebra.dim for i in word):
-            raise ValueError(f"word {word} uses letters outside the basis")
-        if any(word[t] > word[t + 1] for t in range(len(word) - 1)):
-            raise ValueError(f"word {word} is not normal-ordered")
-        return word
+        key = index_tuple(word)
+        if key is None or any(not 0 <= i < algebra.dim for i in key):
+            raise ValueError(f"word {word!r} uses letters outside the basis")
+        if key != tuple(sorted(key)):
+            raise ValueError(f"word {word!r} is not normal-ordered")
+        return key
 
     @classmethod
     def unit(cls, algebra: LieAlgebra, coeff: CoeffLike = 1) -> "PbwElement":

@@ -30,8 +30,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from operator import add, index
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .liealg import LieAlgebra, as_vector
 from .zpoly import CoeffLike, PolyZ, add_scaled, ratio_add, zp_eval
@@ -40,16 +40,29 @@ MultiIndex = tuple[int, ...]
 RLike = Union[int, float, Fraction]
 
 
+def index_tuple(seq) -> Optional[tuple]:
+    """seq as a tuple of ints read through ``operator.index``, or None when
+    seq is not a sequence of integers (a float or a str entry, say)."""
+    try:
+        return tuple(map(index, seq))
+    except TypeError:
+        return None
+
+
 class SparseElement:
     """Terms c z^e key, stored as the flat map ``_terms`` {(key, e): c} of
     nonzero ``Fraction`` c, the key form of the raw products; ``items``,
     ``coefficient`` and the reprs build a ``PolyZ`` per key on demand.
 
     A subclass names the field two operands must share (``_field``, with the
-    error text ``_mismatch``) and checks its keys (``_key(owner, key)``
-    returns the canonical key or raises ``ValueError``).  The public
-    constructor checks every key and merges repeats; ``_raw`` trusts a flat
-    map that is already canonical and does not copy it.
+    error text ``_mismatch``) and checks its keys: ``_key(owner, key)`` reads
+    a sequence of integers through ``index_tuple`` and returns it, or raises
+    ``ValueError`` on a float or str entry and a bad length, sign or order.
+    The public constructor takes a map key -> coeff, each coeff an ``int``, a
+    ``Fraction`` or a ``PolyZ`` (else ``TypeError``), and stores nonzero
+    ``Fraction`` values, dropping zeros and summing keys of one canonical
+    form.  ``_raw`` trusts a flat map that is already canonical and does not
+    copy it.
     """
 
     __slots__ = ("_terms",)
@@ -58,10 +71,21 @@ class SparseElement:
 
     def __init__(self, algebra: LieAlgebra, terms: Mapping[object, CoeffLike] = ()):
         setattr(self, self._field, algebra)
+        check = self._key
         flat: dict = {}
         for key, coeff in dict(terms).items():
-            key = self._key(algebra, key)
-            add_scaled(flat, [((key, e), c) for e, c in PolyZ.coerce(coeff).items()], 1)
+            key = check(algebra, key)
+            if isinstance(coeff, PolyZ):
+                pairs = coeff._c.items()
+            elif isinstance(coeff, (int, Fraction)):
+                pairs = ((0, coeff if type(coeff) is Fraction else Fraction(coeff)),) if coeff else ()
+            else:
+                raise TypeError(f"coefficient {coeff!r} is not an int, Fraction or PolyZ")
+            for e, c in pairs:
+                if (key, e) in flat:  # two input keys with one canonical form
+                    add_scaled(flat, [((key, e), c)], 1)
+                else:
+                    flat[key, e] = c
         self._terms = flat
 
     @classmethod
@@ -154,10 +178,10 @@ class SymElement(SparseElement):
 
     @staticmethod
     def _key(algebra: LieAlgebra, alpha: Sequence[int]) -> MultiIndex:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != algebra.dim or any(a < 0 for a in alpha):
-            raise ValueError(f"bad multi-index {alpha} for dim {algebra.dim}")
-        return alpha
+        key = index_tuple(alpha)
+        if key is None or len(key) != algebra.dim or min(key, default=0) < 0:
+            raise ValueError(f"bad multi-index {alpha!r} for dim {algebra.dim}")
+        return key
 
     # constructors -----------------------------------------------------------
 
@@ -177,21 +201,12 @@ class SymElement(SparseElement):
 
     @classmethod
     def from_vector(cls, algebra: LieAlgebra, v: Sequence) -> "SymElement":
-        v = as_vector(algebra, v)
-        return cls(
-            algebra,
-            {
-                tuple(1 if k == i else 0 for k in range(algebra.dim)): c
-                for i, c in enumerate(v)
-                if c
-            },
-        )
+        v, rows = as_vector(algebra, v), range(algebra.dim)
+        return cls(algebra, {tuple(int(k == i) for k in rows): c for i, c in enumerate(v)})
 
     @classmethod
     def basis(cls, algebra: LieAlgebra, i: int) -> "SymElement":
-        return cls.monomial(
-            algebra, tuple(1 if k == i else 0 for k in range(algebra.dim))
-        )
+        return cls.monomial(algebra, tuple(int(k == i) for k in range(algebra.dim)))
 
     # inspection ---------------------------------------------------------------
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from guttstar.cli import main
+from guttstar.cli import VERIFY_MAX_DEGREE, main
 from guttstar.exprs import ExprError, format_element, parse_element
 from guttstar.pbw import star_pbw
 from guttstar.sym import SymElement
@@ -177,6 +177,20 @@ def test_cli_verify_rejects_zero_max_degree(suite, capsys):
     assert captured.err == "error: --max-degree must be >= 1\n"
 
 
+@pytest.mark.parametrize("degree", [VERIFY_MAX_DEGREE + 1, 99999])
+@pytest.mark.parametrize("suite", ["assoc", "hopf", "appendix", "bch", "nilpotent", "all"])
+def test_cli_verify_rejects_max_degree_above_its_limit(suite, degree, capsys):
+    assert main(["verify", suite, "--max-degree", str(degree)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-degree must be <= {VERIFY_MAX_DEGREE}\n"
+
+
+def test_cli_verify_runs_at_its_max_degree(capsys):
+    assert main(["verify", "assoc", "--max-degree", str(VERIFY_MAX_DEGREE)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_cli_verify_nilpotent_skips_on_sl2(tmp_path, capsys):
     path = tmp_path / "sl2.json"
     path.write_text(
@@ -299,6 +313,9 @@ HEIS_FILE = {
         (["cn-estimate", "--R", "inf"], "values must be finite"),
         (["product-estimate", "--R", "1,-inf"], "values must be finite"),
         (["hopf-estimate", "--R", "nan,1"], "values must be finite"),
+        (["product-estimate", "--z", ""], "no values"),
+        (["product-estimate", "--R", ","], "no values"),
+        (["cn-estimate", "--R", ""], "no values"),
     ],
 )
 def test_cli_experiment_rejects_vacuous_or_ignored_inputs(argv, message, tmp_path, capsys):
