@@ -354,14 +354,9 @@ def _subset_sums(L: LieAlgebra, vectors: Sequence[Sequence]) -> list[tuple[int, 
 
 def _vector_sum(L: LieAlgebra, terms) -> Vector:
     """sum (num/den) vec over the terms (num, den, vec) with int num, den,
-    summed on ints over the lcm of the denominators."""
-    common = math.lcm(*(den for _, den, _ in terms))
-    total = [0] * L.dim
-    for num, den, vec in terms:
-        f = num * (common // den)
-        for i, c in enumerate(vec):
-            total[i] += f * c
-    return tuple(Fraction(c, common) for c in total)
+    summed by ``raw_sum`` with the coordinates as keys."""
+    common, acc = raw_sum([(den, enumerate(vec), num, 0) for num, den, vec in terms if num])
+    return tuple(Fraction(acc.get(i, 0), common) for i in range(L.dim))
 
 
 # ---------------------------------------------------------------------------

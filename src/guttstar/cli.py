@@ -30,7 +30,6 @@ from .liealg import LieAlgebra, basis_vector, bracket, heisenberg, load_algebra,
 from .pbw import star, star_pbw
 from .sym import SymElement, random_element, sym_mul
 
-VERIFY_SUITES = ("assoc", "hopf", "appendix", "bch", "nilpotent", "all")
 # total degree limit of `mul` on the pbw and graded routes: at 30 a product of
 # two monomials on a stock algebra ends in about a second (mixed sl2 monomials
 # are the slowest)
@@ -48,26 +47,21 @@ class UsageError(Exception):
     pass
 
 
-def _load_algebra_arg(args) -> tuple[LieAlgebra, list[Fraction]]:
-    if args.algebra:
-        try:
-            algebra, weights = load_algebra(args.algebra)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot load algebra file: {exc}") from exc
-    else:
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one `error:` line, as main prints a UsageError
+        self.exit(2, f"error: {message}\n")
+
+
+def _load_algebra_arg(path: Optional[str]) -> tuple[LieAlgebra, list[Fraction]]:
+    """The algebra of --algebra and its weights; Heisenberg with unit weights
+    without it."""
+    if path is None:
         algebra = heisenberg()
-        weights = [Fraction(1)] * algebra.dim
-    for override in args.weight or ():
-        try:
-            index_text, _, value_text = override.partition("=")
-            index = int(index_text)
-            value = Fraction(value_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad --weight override {override!r}") from exc
-        if not 0 <= index < algebra.dim or value <= 0:
-            raise UsageError(f"bad --weight override {override!r}")
-        weights[index] = value
-    return algebra, weights
+        return algebra, [Fraction(1)] * algebra.dim
+    try:
+        return load_algebra(path)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot load algebra file: {exc}") from exc
 
 
 def _parse_list(text: Optional[str], what: str, kind: type) -> Optional[list]:
@@ -92,7 +86,7 @@ def _parse_list(text: Optional[str], what: str, kind: type) -> Optional[list]:
 
 
 def cmd_mul(args) -> int:
-    algebra, _ = _load_algebra_arg(args)
+    algebra, _ = _load_algebra_arg(args.algebra)
     if args.check or args.method == "bch":
         route, top = "BCH", bch_mod.MAX_TRUNCATION
     else:
@@ -293,26 +287,27 @@ def _suite_nilpotent(algebra: LieAlgebra, max_degree: int, seed: int):
     ))
 
 
+SUITES = {
+    "assoc": _suite_assoc,
+    "hopf": _suite_hopf,
+    "appendix": _suite_appendix,
+    "bch": _suite_bch,
+    "nilpotent": _suite_nilpotent,
+}
+VERIFY_SUITES = (*SUITES, "all")
+
+
 def cmd_verify(args) -> int:
-    algebra, _ = _load_algebra_arg(args)
-    suites = {
-        "assoc": _suite_assoc,
-        "hopf": _suite_hopf,
-        "appendix": _suite_appendix,
-        "bch": _suite_bch,
-        "nilpotent": _suite_nilpotent,
-    }
-    if args.suite not in VERIFY_SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {VERIFY_SUITES}")
+    algebra, _ = _load_algebra_arg(args.algebra)
     if args.max_degree < 1:
         raise UsageError("--max-degree must be >= 1")
     if args.max_degree > VERIFY_MAX_DEGREE:
         raise UsageError(f"--max-degree must be <= {VERIFY_MAX_DEGREE}")
-    names = list(suites) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
         print(f"[{name}]")
-        for law, ok, *witness in suites[name](algebra, args.max_degree, args.seed):
+        for law, ok, *witness in SUITES[name](algebra, args.max_degree, args.seed):
             print(f"  {'skip' if ok is None else 'pass' if ok else 'FAIL'}  {law}")
             for text in witness:
                 print(f"        witness: {text}")
@@ -325,51 +320,61 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each option of `experiment` and the run_experiment parameter it sets
+EXPERIMENT_OPTIONS = {
+    "--algebra": "algebra",
+    "--weight": "weights",
+    "--R": "R_list",
+    "--z": "z_list",
+    "--eps": "eps",
+    "--kmax": "k_max",
+    "--Nmax": "n_max",
+    "--max-degree": "max_degree",
+    "--seed": "seed",
+}
+
+
 def cmd_experiment(args) -> int:
-    if args.name not in exp_mod.EXPERIMENT_NAMES:
-        raise UsageError(
-            f"unknown experiment {args.name!r}; choose from {exp_mod.EXPERIMENT_NAMES}"
-        )
-    # reject inputs that would leave a grid empty or an option silently unused
-    limits = (("--max-degree", args.max_degree), ("--kmax", args.kmax), ("--Nmax", args.nmax))
-    for flag, value in limits:
-        if value < 0:
-            raise UsageError(f"{flag} must be nonnegative")
-    if args.name == "heisenberg-growth" and args.kmax < 2:
-        raise UsageError("heisenberg-growth needs --kmax >= 2 to test monotonicity")
-    if args.name in ("heisenberg-growth", "weyl-estimate") and (args.algebra or args.weight):
+    given = {f: v for f, d in EXPERIMENT_OPTIONS.items() if (v := getattr(args, d)) is not None}
+    # refuse each option that exp_mod.EXPERIMENTS says the experiment never reads
+    reads = exp_mod.EXPERIMENTS[args.name][0] | {"R_list"}
+    # without --eps, heisenberg-growth runs its fixed grid of (R, eps, z)
+    grid_only = {"R_list", "z_list"} if "eps" in reads and args.eps is None else set()
+    unread = [flag for flag in given if EXPERIMENT_OPTIONS[flag] not in reads - grid_only]
+    if "--algebra" in unread or "--weight" in unread:
         raise UsageError(
             f"{args.name} always runs on the Heisenberg algebra with unit weights; "
             "--algebra and --weight do not apply"
         )
-    # without --eps, heisenberg-growth runs its fixed grid of (R, eps, z)
-    growth_grid = args.name == "heisenberg-growth" and args.eps is None
-    ignores = {
-        "--R": growth_grid,
-        "--z": growth_grid or args.name in ("cn-estimate", "hopf-estimate", "no-exp"),
-        "--eps": args.name != "heisenberg-growth",
-    }
-    given = {"--R": args.R, "--z": args.z, "--eps": args.eps}
-    unread = [flag for flag, ignored in ignores.items() if ignored and given[flag] is not None]
     if unread:
-        without = " without --eps" if growth_grid else ""
+        without = " without --eps" if grid_only & {EXPERIMENT_OPTIONS[f] for f in unread} else ""
         raise UsageError(f"{args.name}{without} does not read {' or '.join(unread)}")
-    algebra, weights = _load_algebra_arg(args)
-    R_list = _parse_list(args.R, "--R", float)
-    z_list = _parse_list(args.z, "--z", Fraction)
+    # and each input that would leave a grid empty
+    for flag in ("--max-degree", "--kmax", "--Nmax"):
+        if given.get(flag, 0) < 0:
+            raise UsageError(f"{flag} must be nonnegative")
+    if args.name == "heisenberg-growth" and given.get("--kmax", 2) < 2:
+        raise UsageError("heisenberg-growth needs --kmax >= 2 to test monotonicity")
+    algebra, weights = _load_algebra_arg(args.algebra)
+    for override in args.weights or ():
+        try:
+            index_text, _, value_text = override.partition("=")
+            index = int(index_text)
+            value = Fraction(value_text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad --weight override {override!r}") from exc
+        if not 0 <= index < algebra.dim or value <= 0:
+            raise UsageError(f"bad --weight override {override!r}")
+        weights[index] = value
+    options = {EXPERIMENT_OPTIONS[flag]: value for flag, value in given.items()}
+    options.update(
+        algebra=algebra,
+        weights=weights,
+        R_list=_parse_list(args.R_list, "--R", float),
+        z_list=_parse_list(args.z_list, "--z", Fraction),
+    )
     try:
-        reports = exp_mod.run_experiment(
-            args.name,
-            algebra=algebra,
-            weights=weights,
-            R_list=R_list,
-            z_list=z_list,
-            eps=args.eps,
-            k_max=args.kmax,
-            n_max=args.nmax,
-            max_degree=args.max_degree,
-            seed=args.seed,
-        )
+        reports = exp_mod.run_experiment(args.name, **options)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out_dir = Path(args.out)
@@ -420,20 +425,8 @@ def cmd_bch(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algebra", help="algebra definition file (default: Heisenberg)")
-    parser.add_argument("--max-degree", type=int, default=8, dest="max_degree")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--weight",
-        action="append",
-        metavar="i=p/q",
-        help="override a seminorm weight (repeatable)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="guttstar",
         description="Exact engine for the deformed symmetric-algebra product "
         "over structure-constant Lie algebras",
@@ -441,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     mul = sub.add_parser("mul", help="multiply two expressions")
-    _add_common(mul)
     mul.add_argument("x")
     mul.add_argument("y")
     mul.add_argument("--z", help="evaluate the result at a rational z")
@@ -454,21 +446,33 @@ def build_parser() -> argparse.ArgumentParser:
     mul.set_defaults(func=cmd_mul)
 
     verify = sub.add_parser("verify", help="run an invariant suite")
-    _add_common(verify)
     verify.add_argument("suite", choices=VERIFY_SUITES)
+    verify.add_argument("--max-degree", type=int, default=8, dest="max_degree")
+    verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
 
     experiment = sub.add_parser("experiment", help="run an estimate sweep")
-    _add_common(experiment)
     experiment.add_argument("name", choices=exp_mod.EXPERIMENT_NAMES)
-    experiment.add_argument("--R", help="comma-separated list of R exponents")
-    experiment.add_argument("--z", help="comma-separated list of rational z values")
+    experiment.add_argument(
+        "--weight",
+        action="append",
+        metavar="i=p/q",
+        dest="weights",
+        help="override a seminorm weight (repeatable)",
+    )
+    experiment.add_argument("--R", dest="R_list", help="comma-separated list of R exponents")
+    experiment.add_argument("--z", dest="z_list", help="comma-separated list of rational z values")
     experiment.add_argument("--eps", type=float, help="growth-table epsilon")
-    experiment.add_argument("--kmax", type=int, default=10)
-    experiment.add_argument("--Nmax", type=int, default=20, dest="nmax")
+    # None when not given: run_experiment holds the defaults
+    experiment.add_argument("--kmax", type=int, dest="k_max")
+    experiment.add_argument("--Nmax", type=int, dest="n_max")
+    experiment.add_argument("--max-degree", type=int, dest="max_degree")
+    experiment.add_argument("--seed", type=int)
     experiment.add_argument("--out", default="reports")
     experiment.add_argument("--format", choices=("csv", "text"), default="csv")
     experiment.set_defaults(func=cmd_experiment)
+    for command in (mul, verify, experiment):
+        command.add_argument("--algebra", help="algebra definition file (default: Heisenberg)")
 
     bch_dump = sub.add_parser("bch", help="dump the BCH word expansion")
     bch_dump.add_argument("--max-n", type=int, default=8, dest="max_n")

@@ -756,39 +756,27 @@ def standard_homs() -> list[tuple[str, LieHom]]:
     return [("identity", identity), ("scaling", scaling), ("center-to-zero", quotient)]
 
 
-EXPERIMENT_NAMES = (
-    "cn-estimate",
-    "product-estimate",
-    "heisenberg-growth",
-    "linear-estimate",
-    "nfold-estimate",
-    "nilpotent-estimate",
-    "no-exp",
-    "functorial",
-    "weyl-estimate",
-    "hopf-estimate",
-)
-
-DEFAULT_R = {
-    "cn-estimate": (1.0, 1.5, 2.0),
-    "product-estimate": (1.0, 1.5, 2.0),
-    "linear-estimate": (1.0, 2.0),
-    "nfold-estimate": (1.0, 1.5),
-    "nilpotent-estimate": (0.0, 0.5, 0.9),
-    "no-exp": (1.0, 2.0, 0.9),
-    "functorial": (1.0,),
-    "weyl-estimate": (0.5, 1.0),
-    "hopf-estimate": (0.5, 1.0, 2.0),
+# name -> (the run_experiment options it reads besides R_list, its default R
+# list, its default z list); heisenberg-growth reads R_list and z_list only
+# with eps, and runs DEFAULT_GROWTH_GRID without it
+EXPERIMENTS = {
+    "cn-estimate": ({"algebra", "weights", "max_degree", "seed"}, (1.0, 1.5, 2.0), ()),
+    "product-estimate": (
+        {"algebra", "weights", "z_list", "max_degree", "seed"}, (1.0, 1.5, 2.0), (0, 1, -2)
+    ),
+    "heisenberg-growth": ({"eps", "z_list", "k_max"}, (1.0,), (1,)),
+    "linear-estimate": ({"algebra", "weights", "z_list", "k_max", "seed"}, (1.0, 2.0), (1, 7)),
+    "nfold-estimate": ({"algebra", "weights", "z_list", "seed"}, (1.0, 1.5), (1, -2)),
+    "nilpotent-estimate": (
+        {"algebra", "weights", "z_list", "max_degree", "seed"}, (0.0, 0.5, 0.9), (1,)
+    ),
+    # the witness is scaled to p(xi) = 1, so no row depends on the algebra or weights
+    "no-exp": ({"n_max"}, (1.0, 2.0, 0.9), ()),
+    "functorial": ({"z_list", "seed"}, (1.0,), (1,)),
+    "weyl-estimate": ({"z_list"}, (0.5, 1.0), (1, -2)),
+    "hopf-estimate": ({"algebra", "weights", "max_degree", "seed"}, (0.5, 1.0, 2.0), ()),
 }
-
-DEFAULT_Z = {
-    "product-estimate": (Fraction(0), Fraction(1), Fraction(-2)),
-    "linear-estimate": (Fraction(1), Fraction(7)),
-    "nfold-estimate": (Fraction(1), Fraction(-2)),
-    "nilpotent-estimate": (Fraction(1),),
-    "functorial": (Fraction(1),),
-    "weyl-estimate": (Fraction(1), Fraction(-2)),
-}
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 # (R, eps, z): the three parameter pairs at the z = 2 normalization where
 # the stated k!^(1-R-2eps) rate is exact for all k, plus the z = 1 point the
@@ -816,12 +804,13 @@ def run_experiment(
     seed: int = 0,
 ) -> list[EstimateReport]:
     """Drive one named experiment over its grid; returns one report per point."""
-    if name not in EXPERIMENT_NAMES:
+    if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
+    _, default_R, default_z = EXPERIMENTS[name]
     L = algebra if algebra is not None else heisenberg()
     p = Seminorm.ell1(L, weights)
-    Rs = tuple(R_list) if R_list else DEFAULT_R.get(name, (1.0,))
-    zs = tuple(z_list) if z_list else DEFAULT_Z.get(name, (Fraction(1),))
+    Rs = tuple(R_list) if R_list else default_R
+    zs = tuple(z_list) if z_list else tuple(map(Fraction, default_z))
     reports: list[EstimateReport] = []
 
     if name == "cn-estimate":
@@ -831,8 +820,7 @@ def run_experiment(
         reports = product_sweep(L, p, grid, max_total_degree=max_degree, seed=seed)
     elif name == "heisenberg-growth":
         if eps is not None:
-            z_growth = tuple(z_list) if z_list else (Fraction(1),)
-            grid = [(R, eps, z0) for R in Rs for z0 in z_growth]
+            grid = [(R, eps, z0) for R in Rs for z0 in zs]
         else:
             grid = list(DEFAULT_GROWTH_GRID)
         for R, e, z0 in grid:

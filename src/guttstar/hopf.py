@@ -46,6 +46,8 @@ class SymTensorElement(SparseElement):
 
     @staticmethod
     def _key(algebra: LieAlgebra, pair: tuple[MultiIndex, MultiIndex]) -> tuple:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise ValueError(f"bad multi-index pair {pair!r}")
         a, b = pair
         return SymElement._key(algebra, a), SymElement._key(algebra, b)
 

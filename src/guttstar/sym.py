@@ -206,6 +206,9 @@ class SymElement(SparseElement):
 
     @classmethod
     def basis(cls, algebra: LieAlgebra, i: int) -> "SymElement":
+        key = index_tuple((i,))
+        if key is None or not 0 <= key[0] < algebra.dim:
+            raise ValueError(f"bad basis index {i!r} for dim {algebra.dim}")
         return cls.monomial(algebra, tuple(int(k == i) for k in range(algebra.dim)))
 
     # inspection ---------------------------------------------------------------

@@ -282,6 +282,40 @@ def test_sweep_reports_equal_one_point_checks(name, L, weights, Rs, zs):
         assert _report_rows([report]) == _report_rows([got[grids.index(report.grid)]])
 
 
+# one changed value for each option of run_experiment, at small sizes
+BASE_OPTIONS = dict(eps=0.125, k_max=2, n_max=3, max_degree=2, seed=0)
+CHANGED_OPTIONS = {
+    "algebra": filiform4(),
+    "weights": WEIGHTS,
+    "R_list": [0.5],
+    "z_list": [Fraction(3)],
+    "eps": 0.2,
+    "k_max": 3,
+    "n_max": 4,
+    "max_degree": 3,
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("name", ex.EXPERIMENT_NAMES)
+def test_experiments_table_names_the_options_each_experiment_reads(name):
+    """Changing an option changes the rows exactly when EXPERIMENTS says the
+    experiment reads it; without eps, heisenberg-growth reads neither R nor z."""
+    reads = ex.EXPERIMENTS[name][0] | {"R_list"}
+    # with eps, heisenberg-growth needs 2 eps < 1 - R, which its default R = 1 fails
+    base = dict(BASE_OPTIONS, R_list=[0.25]) if "eps" in reads else BASE_OPTIONS
+    rows = _report_rows(ex.run_experiment(name, **base))
+    for option, value in CHANGED_OPTIONS.items():
+        changed = _report_rows(ex.run_experiment(name, **{**base, option: value}))
+        assert (changed != rows) == (option in reads), option
+    if "eps" in reads:
+        grid = dict(base, eps=None)
+        rows = _report_rows(ex.run_experiment(name, **grid))
+        for option in ("R_list", "z_list"):
+            changed = {**grid, option: CHANGED_OPTIONS[option]}
+            assert _report_rows(ex.run_experiment(name, **changed)) == rows, option
+
+
 @pytest.mark.parametrize(
     "sweep,args",
     [

@@ -316,6 +316,9 @@ HEIS_FILE = {
         (["product-estimate", "--z", ""], "no values"),
         (["product-estimate", "--R", ","], "no values"),
         (["cn-estimate", "--R", ""], "no values"),
+        (["functorial", "--weight", "0=2"], "functorial always runs on the Heisenberg"),
+        (["functorial", "--algebra", "{file}"], "functorial always runs on the Heisenberg"),
+        (["no-exp", "--weight", "0=5"], "no-exp always runs on the Heisenberg"),
     ],
 )
 def test_cli_experiment_rejects_vacuous_or_ignored_inputs(argv, message, tmp_path, capsys):
@@ -342,11 +345,28 @@ def test_cli_experiment_rejects_vacuous_or_ignored_inputs(argv, message, tmp_pat
         (["product-estimate", "--eps", "0.125"], "product-estimate does not read --eps"),
         (["weyl-estimate", "--eps", "0.125"], "weyl-estimate does not read --eps"),
         (["no-exp", "--eps", "0.125", "--z", "1"], "no-exp does not read --z or --eps"),
+        (["cn-estimate", "--kmax", "3"], "cn-estimate does not read --kmax"),
+        (["cn-estimate", "--Nmax", "3"], "cn-estimate does not read --Nmax"),
+        (["weyl-estimate", "--max-degree", "2"], "weyl-estimate does not read --max-degree"),
+        (["no-exp", "--seed", "4"], "no-exp does not read --seed"),
+        (["heisenberg-growth", "--max-degree", "3"], "heisenberg-growth does not read --max-degree"),
+        (["heisenberg-growth", "--R", "1", "--seed", "2"], "without --eps does not read --R or --seed"),
+        (["functorial", "--max-degree", "3"], "functorial does not read --max-degree"),
+        (["mul", "P", "Q", "--max-degree", "40"], "unrecognized arguments: --max-degree 40"),
+        (["mul", "P", "Q", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["mul", "P", "Q", "--weight", "0=5"], "unrecognized arguments: --weight 0=5"),
+        (["verify", "assoc", "--weight", "0=2"], "unrecognized arguments: --weight 0=2"),
     ],
 )
 def test_cli_experiment_refuses_options_it_never_reads(argv, unread, tmp_path, capsys):
     out_dir = tmp_path / "reports"
-    assert main(["experiment", *argv, "--out", str(out_dir)]) == 2
+    if argv[0] not in ("mul", "verify"):  # an experiment name
+        argv = ["experiment", *argv, "--out", str(out_dir)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # the parser refuses an option the command lacks
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and unread in captured.err
     assert captured.err.count("\n") == 1 and not out_dir.exists()

@@ -134,20 +134,22 @@ def test_the_checked_constructor_stores_nonzero_fractions_per_canonical_key(cls,
 
 
 @pytest.mark.parametrize(
-    "cls, float_key, str_key, message",
+    "cls, keys, message",
     [
-        (SymElement, (1.7, 0, 0), ("1", "0", "2"), "bad multi-index"),
-        (PbwElement, (0.5, 1), ("0",), "outside the basis"),
-        (SymTensorElement, ((1.0, 0, 0), (0, 0, 0)), ((0, 0, 0), ("1", 0, 0)), "bad multi-index"),
-        (WeylElement, (0.5, 1), ("1", 2), "bad exponent pair"),
+        (SymElement, [(1.7, 0, 0), ("1", "0", "2")], "bad multi-index"),
+        (PbwElement, [(0.5, 1), ("0",)], "outside the basis"),
+        (
+            SymTensorElement,
+            [((1.0, 0, 0), (0, 0, 0)), ((0, 0, 0), ("1", 0, 0)), 5, ((0, 0, 0),) * 3],
+            "bad multi-index",
+        ),
+        (WeylElement, [(0.5, 1), ("1", 2)], "bad exponent pair"),
     ],
     ids=["SymElement", "PbwElement", "SymTensorElement", "WeylElement"],
 )
-def test_the_checked_constructor_rejects_keys_that_are_not_integers(
-    cls, float_key, str_key, message, heis
-):
+def test_the_checked_constructor_rejects_keys_that_are_not_integers(cls, keys, message, heis):
     owner = CHECKED_TYPES[cls][0](heis)
-    for key in (float_key, str_key):
+    for key in keys:
         with pytest.raises(ValueError, match=message):
             cls(owner, {key: 1})
 

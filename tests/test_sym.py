@@ -47,6 +47,13 @@ def test_sym_mul_monomials(heis):
     assert sym_mul(P + Q, P - Q) == P**2 - Q**2
 
 
+def test_basis_refuses_an_index_outside_the_basis(heis):
+    assert SymElement.basis(heis, 2) == SymElement.monomial(heis, (0, 0, 1))
+    for i in (3, -1, 1.0):
+        with pytest.raises(ValueError, match="bad basis index"):
+            SymElement.basis(heis, i)
+
+
 def test_sym_mul_commutative_associative(heis, rng):
     for _ in range(10):
         x = random_element(heis, rng, 3)
