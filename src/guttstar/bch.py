@@ -504,7 +504,8 @@ def star_bch(L: LieAlgebra, xi: Sequence, k: int, eta: Sequence, l: int) -> SymE
     V_{a,b} = BCH_{a,b}(xi, eta) = v_{a,b} / d_{a,b} with a <= k and b <= l,
     bracketing each left-nested prefix once and pruning at zero brackets.
     One backtracking pass over the multiplicities m_{a,b} with
-    sum m_{a,b} (a, b) = (k, l) then covers every n at once:
+    sum m_{a,b} (a, b) = (k, l), entering only the branches that can still
+    complete to (k, l), then covers every n at once:
     k! l! prod V_{a,b}^{m_{a,b}} / m_{a,b}! lands in the z^(k+l-r)
     coefficient, r = sum m_{a,b}.  The vectors are z-constant, so partial
     products are {multi-index: int} maps of the v_{a,b}, and each leaf
@@ -521,11 +522,26 @@ def _star_bch_parts(L: LieAlgebra, xi: Vector, k: int, eta: Vector, l: int) -> l
     """The leaves of ``star_bch`` on trusted vectors (``Fraction`` or ``int``
     entries) as parts (den, terms, num, e) of ``sum_parts``: the terms of a
     leaf are its partial product {gamma: c} as z-constant pairs
-    ((gamma, 0), c)."""
+    ((gamma, 0), c).
+
+    ``reach[idx]`` is the set of bidegrees that the pairs from idx on sum to
+    exactly, so the walk enters only the multiplicities whose remainder can
+    still complete, and raises its partial product only up to the largest of
+    them.  The leaves stay in the lexicographic order of their multiplicity
+    vectors, which fixes the order of every output's terms."""
     pairs = [
         (a, b, den, [(i, c) for i, c in enumerate(vec) if c])
         for (a, b), (vec, den) in sorted(_bch_components(L, k, l, xi, eta).items())
     ]
+    reach = [{(0, 0)}]
+    for a, b, _, _ in reversed(pairs):
+        sums = set()
+        for ra, rb in reach[-1]:
+            while ra <= k and rb <= l:
+                sums.add((ra, rb))
+                ra, rb = ra + a, rb + b
+        reach.append(sums)
+    reach.reverse()
     num = math.factorial(k) * math.factorial(l)
     parts = []
 
@@ -534,19 +550,21 @@ def _star_bch_parts(L: LieAlgebra, xi: Vector, k: int, eta: Vector, l: int) -> l
             terms = [((gamma, 0), c) for gamma, c in partial.items()]
             parts.append((den, terms, num, k + l - used))
             return
-        if idx == len(pairs):
-            return
         a, b, d, vec = pairs[idx]
+        fits = reach[idx + 1]
         m_max = min(left // deg for left, deg in ((a_left, a), (b_left, b)) if deg)
-        for m in range(m_max + 1):
+        ms = [m for m in range(m_max + 1) if (a_left - m * a, b_left - m * b) in fits]
+        for m in range(ms[-1] + 1):
             if m:
                 partial = _times_vector(partial, vec)
                 if not partial:
                     return
                 den *= m * d
-            backtrack(idx + 1, a_left - m * a, b_left - m * b, used + m, partial, den)
+            if m in ms:
+                backtrack(idx + 1, a_left - m * a, b_left - m * b, used + m, partial, den)
 
-    backtrack(0, k, l, 0, {(0,) * L.dim: 1}, 1)
+    if (k, l) in reach[0]:
+        backtrack(0, k, l, 0, {(0,) * L.dim: 1}, 1)
     return parts
 
 

@@ -758,13 +758,14 @@ def standard_homs() -> list[tuple[str, LieHom]]:
 
 # name -> (the run_experiment options it reads besides R_list, its default R
 # list, its default z list); heisenberg-growth reads R_list and z_list only
-# with eps, and runs DEFAULT_GROWTH_GRID without it
+# with eps, and runs DEFAULT_GROWTH_GRID without it; with eps = 0.125 its
+# defaults give the grid point (0.5, 0.125, 1)
 EXPERIMENTS = {
     "cn-estimate": ({"algebra", "weights", "max_degree", "seed"}, (1.0, 1.5, 2.0), ()),
     "product-estimate": (
         {"algebra", "weights", "z_list", "max_degree", "seed"}, (1.0, 1.5, 2.0), (0, 1, -2)
     ),
-    "heisenberg-growth": ({"eps", "z_list", "k_max"}, (1.0,), (1,)),
+    "heisenberg-growth": ({"eps", "z_list", "k_max"}, (0.5,), (1,)),
     "linear-estimate": ({"algebra", "weights", "z_list", "k_max", "seed"}, (1.0, 2.0), (1, 7)),
     "nfold-estimate": ({"algebra", "weights", "z_list", "seed"}, (1.0, 1.5), (1, -2)),
     "nilpotent-estimate": (

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import guttstar.experiments as ex
+from guttstar.cli import main
 from guttstar.liealg import basis_vector, filiform4, heisenberg, sl2
 from guttstar.sym import Seminorm
 
@@ -80,6 +81,17 @@ def test_growth_rate_fails_at_small_R_and_z_one():
 def test_growth_default_grid_passes():
     reports = ex.run_experiment("heisenberg-growth", k_max=6)
     assert all(r.passed for r in reports)
+
+
+def test_growth_eps_alone_runs_the_grid_point_of_its_defaults(tmp_path, capsys):
+    """--eps without --R runs on the default R 0.5 and z 1: the grid point
+    (0.5, 0.125, 1) of the default run, row for row."""
+    assert main(["experiment", "heisenberg-growth", "--eps", "0.125", "--out", str(tmp_path)]) == 0
+    assert "0 failures" in capsys.readouterr().out
+    (report,) = ex.run_experiment("heisenberg-growth", eps=0.125)
+    point = ex.DEFAULT_GROWTH_GRID.index((0.5, 0.125, Fraction(1)))
+    default_run = ex.run_experiment("heisenberg-growth")
+    assert _report_rows([report]) == _report_rows([default_run[point]])
 
 
 def test_growth_table_exact_factor_norms():
@@ -302,7 +314,8 @@ def test_experiments_table_names_the_options_each_experiment_reads(name):
     """Changing an option changes the rows exactly when EXPERIMENTS says the
     experiment reads it; without eps, heisenberg-growth reads neither R nor z."""
     reads = ex.EXPERIMENTS[name][0] | {"R_list"}
-    # with eps, heisenberg-growth needs 2 eps < 1 - R, which its default R = 1 fails
+    # with eps, the base R must differ from the changed R_list [0.5], which is
+    # heisenberg-growth's default
     base = dict(BASE_OPTIONS, R_list=[0.25]) if "eps" in reads else BASE_OPTIONS
     rows = _report_rows(ex.run_experiment(name, **base))
     for option, value in CHANGED_OPTIONS.items():
