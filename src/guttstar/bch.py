@@ -179,15 +179,11 @@ def _goldberg_weights(truncation: int) -> tuple[dict[str, int], tuple[int, ...]]
     return numerators, dens
 
 
-def goldberg_coefficient(word: str, truncation: Optional[int] = None) -> Fraction:
+def goldberg_coefficient(word: str) -> Fraction:
     """g_w: the coefficient of the word in the associative log expansion."""
     if not word or set(word) - {"X", "Y"}:
         raise ValueError("word must be a nonempty string over {X, Y}")
-    if truncation is None:
-        return _series_for(len(word)).coefficient(word)
-    if len(word) > truncation:
-        raise ValueError("word exceeds the series truncation")
-    return log_expansion(truncation).coefficient(word)
+    return _series_for(len(word)).coefficient(word)
 
 
 def thompson_sum(n: int) -> Fraction:
@@ -731,15 +727,7 @@ def exp_product_check(
         raise ValueError("z must be nonzero")
     if order < 1:
         raise ValueError("order must be >= 1")
-    factor_order = order * idx
-    lhs = star_pbw(
-        exp_truncated(SymElement.from_vector(L, as_vector(L, xi)), factor_order),
-        exp_truncated(SymElement.from_vector(L, as_vector(L, eta)), factor_order),
-    ).evaluate_z(z0)
-    rhs = exp_truncated(
-        SymElement.from_vector(L, bch_element(L, xi, eta, z0)), order
-    )
-    return _truncate(lhs, order) - _truncate(rhs, order)
+    return _exp_residual(L, xi, eta, bch_element(L, xi, eta, z0), z0, order * idx, order)
 
 
 def one_parameter_check(
@@ -749,13 +737,22 @@ def one_parameter_check(
     so truncation at the comparison order is already exact."""
     xi = as_vector(L, xi)
     t, s = Fraction(t), Fraction(s)
-    lhs = star_pbw(
-        exp_truncated(SymElement.from_vector(L, xi).scale(t), order),
-        exp_truncated(SymElement.from_vector(L, xi).scale(s), order),
-    ).evaluate_z(Fraction(z0))
-    rhs = exp_truncated(SymElement.from_vector(L, xi).scale(t + s), order)
-    return _truncate(lhs, order) - rhs
+    return _exp_residual(
+        L, [t * c for c in xi], [s * c for c in xi], [(t + s) * c for c in xi],
+        Fraction(z0), order, order,
+    )
 
 
-def _truncate(x: SymElement, order: int) -> SymElement:
-    return SymElement._raw(x.algebra, {k: c for k, c in x._terms.items() if sum(k[0]) <= order})
+def _exp_residual(
+    L: LieAlgebra, xi: Sequence, eta: Sequence, zeta: Sequence, z0: Fraction,
+    factor_order: int, order: int,
+) -> SymElement:
+    """exp(xi) * exp(eta) at z = z0 minus exp(zeta), cut to degree <= order;
+    the factor exponentials are truncated at factor_order, exp(zeta) at order."""
+
+    def exp(v: Sequence, top: int) -> SymElement:
+        return exp_truncated(SymElement.from_vector(L, v), top)
+
+    lhs = star_pbw(exp(xi, factor_order), exp(eta, factor_order)).evaluate_z(z0)
+    diff = lhs - exp(zeta, order)
+    return SymElement._raw(L, {k: c for k, c in diff._terms.items() if sum(k[0]) <= order})

@@ -407,7 +407,6 @@ def cmd_bch(args) -> int:
         for a in range(n + 1):
             b = n - a
             block = sorted(series.bidegree_slice(a, b))
-            block = [w for w in block if len(w) == n]
             if block:
                 slices.append({"a": a, "b": b, "words": block})
         record = {

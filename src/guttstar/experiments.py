@@ -62,7 +62,6 @@ from .sym import (
     pn_terms,
     pR_norm,
     random_element,
-    submultiplicative_scale,
 )
 
 SLACK = 1e-9
@@ -424,7 +423,7 @@ def linear_factor_constant(R: float, z0: Scalar, terms: int = 120) -> float:
 
     Summed in log space: the Bernoulli numbers grow factorially, so the
     numerator and the n!^R denominator overflow floats separately long before
-    their ratio does."""
+    their ratio does.  A bound past the float range is inf."""
     az = abs(_float(Fraction(z0)))
     bern = bernoulli_star(terms)
 
@@ -436,19 +435,22 @@ def linear_factor_constant(R: float, z0: Scalar, terms: int = 120) -> float:
             log_term += n * math.log(az)
         return math.exp(log_term)
 
-    if az < 2.0 * math.pi:
-        return sum(term(n, b, R) for n, b in enumerate(bern))
-    if R > 1:
-        left = sum(
-            math.exp(_log_fraction(abs(b)) - math.lgamma(n + 1))
-            for n, b in enumerate(bern)
-            if b
-        )
-        right = sum(
-            math.exp(n * math.log(az) - (R - 1.0) * math.lgamma(n + 1)) if n else 1.0
-            for n in range(terms + 1)
-        )
-        return left * right
+    try:
+        if az < 2.0 * math.pi:
+            return sum(term(n, b, R) for n, b in enumerate(bern))
+        if R > 1:
+            left = sum(
+                math.exp(_log_fraction(abs(b)) - math.lgamma(n + 1))
+                for n, b in enumerate(bern)
+                if b
+            )
+            right = sum(
+                math.exp(n * math.log(az) - (R - 1.0) * math.lgamma(n + 1)) if n else 1.0
+                for n in range(terms + 1)
+            )
+            return left * right
+    except OverflowError:
+        return math.inf
     raise ValueError("need |z| < 2*pi or R > 1")
 
 
@@ -464,7 +466,7 @@ def linear_sweep(
     """p_R(x * eta) <= c_{z,R} (k+1)^R p_R(x) p(eta) for submultiplicative p,
     at each (R, z0) of grid, one report per point."""
     grid = [(R, Fraction(z0)) for R, z0 in grid]
-    p_sub = p.scale(submultiplicative_scale(L, p))
+    p_sub = asymptotic_estimate(L, p)
     cs = [linear_factor_constant(R, z0) if constant is None else constant for R, z0 in grid]
     reports = [EstimateReport("linear-estimate", f"R={R},z={z0},k<={k_max}") for R, z0 in grid]
     norms = _norms(p_sub, [(R, 1.0) for R, _ in grid])
@@ -503,16 +505,20 @@ def _star_fold(L: LieAlgebra, vectors: Sequence[Vector]) -> SymElement:
 
 
 def _add_fold_rows(
-    reports, points, L: LieAlgebra, p: Seminorm, q: Seminorm, vectors: list[Vector], tag: str
+    reports, points, p: Seminorm, factors: list[Vector], q: Seminorm, vectors: list, tag: str
 ) -> None:
-    """One row p_R(xi_1 * ... * xi_n at z0) <= c^n n!^S q(xi_1)...q(xi_n)
-    per report, for its point (R, z0, c, S); the fold is taken once."""
-    n = len(vectors)
+    """One row p_R(xi_1 * ... * xi_n at z0) <= c^n n!^S q(v_1)...q(v_n) per
+    report, for its point (R, z0, c, S); each factor xi_i is v_i or its image
+    under a hom.  The fold is taken once, and a c^n past the float range is inf."""
+    n = len(factors)
     zs, zi = _distinct([z0 for _, z0, _, _ in points])
-    terms = _at_z(p, _star_fold(L, vectors), zs)
+    terms = _at_z(p, _star_fold(p.algebra, factors), zs)
     weights = [_float(q.vector_norm(v)) for v in vectors]
     for (R, _, c, S), i, report in zip(points, zi, reports):
-        rhs = c**n * factorial_power(n, S)
+        try:
+            rhs = c**n * factorial_power(n, S)
+        except OverflowError:
+            rhs = math.inf
         for w in weights:
             rhs *= w
         report.add(tag, graded_sum(terms[i], R), rhs)
@@ -540,9 +546,9 @@ def nfold_sweep(
     for n in range(1, n_max + 1):
         for trial in range(max(1, n_random // n_max)):
             vectors = [basis_vector(L, rng.randrange(L.dim)) for _ in range(n)]
-            _add_fold_rows(reports, points, L, p, q, vectors, f"basis:n={n},t={trial}")
+            _add_fold_rows(reports, points, p, vectors, q, vectors, f"basis:n={n},t={trial}")
         vectors = [_random_vector(L, rng) for _ in range(n)]
-        _add_fold_rows(reports, points, L, p, q, vectors, f"rand:n={n}")
+        _add_fold_rows(reports, points, p, vectors, q, vectors, f"rand:n={n}")
     return reports
 
 
@@ -607,7 +613,7 @@ def nilpotent_sweep(
     for n in range(1, 7):
         for trial in range(max(1, n_random // 6)):
             vectors = [basis_vector(L, rng.randrange(L.dim)) for _ in range(n)]
-            _add_fold_rows(reports, points, L, p, q, vectors, f"fold:n={n},t={trial}")
+            _add_fold_rows(reports, points, p, vectors, q, vectors, f"fold:n={n},t={trial}")
     return reports
 
 
@@ -688,18 +694,12 @@ def functorial_sweep(
     p = Seminorm.ell1(tgt)
     q = asymptotic_estimate(tgt, p)
     r = Seminorm(src, tuple(q.vector_norm(col) or Fraction(1) for col in phi.matrix))
-    cs = [8.0 * math.e * (abs(_float(z0)) + 1.0) for _, z0 in grid]
-    zs, zi = _distinct([z0 for _, z0 in grid])
+    points = [(R, z0, 8.0 * math.e * (abs(_float(z0)) + 1.0), R) for R, z0 in grid]
     for n in range(1, n_max + 1):
         for trial in range(3):
             vectors = [basis_vector(src, rng.randrange(src.dim)) for _ in range(n)]
-            terms = _at_z(p, _star_fold(tgt, [phi.apply(v) for v in vectors]), zs)
-            weights = [_float(r.vector_norm(v)) for v in vectors]
-            for (R, _), i, c, report in zip(grid, zi, cs, reports):
-                rhs_norm = c**n * factorial_power(n, R)
-                for w in weights:
-                    rhs_norm *= w
-                report.add(f"norm:n={n},t={trial}", graded_sum(terms[i], R), rhs_norm)
+            images = [phi.apply(v) for v in vectors]
+            _add_fold_rows(reports, points, p, images, r, vectors, f"norm:n={n},t={trial}")
     return reports
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -64,9 +64,6 @@ class LieAlgebra:
         # rebuild through __init__, so an unpickled copy rehashes its names
         # under the loading process's hash seed
         return (LieAlgebra, (self.dim, self.basis_names, self.brackets))
-
-    def name(self, i: int) -> str:
-        return self.basis_names[i]
 
     def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
         """[e_i, e_j] as a sparse coefficient map (antisymmetry applied)."""
@@ -204,61 +201,38 @@ def _vadd(*vectors: Vector) -> Vector:
     return tuple(sum(col) for col in zip(*vectors))
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank by fraction-free-ish Gaussian elimination over Q."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _span_basis(vectors: list[Vector], dim: int) -> list[Vector]:
-    """A maximal independent subset of the given vectors."""
-    basis: list[Vector] = []
+def _span_basis(vectors: Iterable[Vector]) -> list[Vector]:
+    """A basis of the span of the vectors, by incremental exact elimination:
+    each vector is reduced by the rows kept so far, and what is left, if
+    nonzero, is kept with a 1 at its first nonzero column (its pivot)."""
+    rows: list[tuple[int, Vector]] = []
     for v in vectors:
-        if any(v) and _rank([list(b) for b in basis] + [list(v)]) > len(basis):
-            basis.append(v)
-            if len(basis) == dim:
-                break
-    return basis
+        for col, row in rows:
+            if f := v[col]:
+                v = tuple(a - f * b for a, b in zip(v, row))
+        pivot = next((k for k, a in enumerate(v) if a), None)
+        if pivot is not None:
+            rows.append((pivot, tuple(a / v[pivot] for a in v)))
+    return [row for _, row in rows]
 
 
 def nilpotency_index(L: LieAlgebra) -> Optional[int]:
     """Smallest N with the lower central series g^(N+1) = 0, or None.
 
-    g^(1) = g, g^(m+1) = [g, g^(m)], spans computed by exact rational rank.
+    g^(1) = g, g^(m+1) = [g, g^(m)], each term spanned by an exact echelon
+    basis over Q.  The series only shrinks, so a term with the dimension of
+    the one before equals it: the series has stabilized at a nonzero term.
     """
-    current = [basis_vector(L, i) for i in range(L.dim)]
-    n = 1
-    while current:
+    current, n = [basis_vector(L, i) for i in range(L.dim)], 1
+    while True:
         nxt = _span_basis(
-            [bracket(L, basis_vector(L, i), v) for i in range(L.dim) for v in current],
-            L.dim,
+            bracket(L, basis_vector(L, i), v) for i in range(L.dim) for v in current
         )
         if not nxt:
             return n
-        if len(nxt) == len(current) and _rank(
-            [list(v) for v in current + nxt]
-        ) == len(current):
-            return None  # series stabilized at a nonzero term
-        current = nxt
-        n += 1
-    return n
+        if len(nxt) == len(current):
+            return None
+        current, n = nxt, n + 1
 
 
 # ---------------------------------------------------------------------------

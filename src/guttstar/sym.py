@@ -387,8 +387,11 @@ class Seminorm:
 
 
 def factorial_power(n: int, R: RLike) -> float:
-    """n!^R in floating point."""
-    return math.exp(float(R) * math.lgamma(n + 1))
+    """n!^R in floating point, inf past the float range."""
+    try:
+        return math.exp(float(R) * math.lgamma(n + 1))
+    except OverflowError:
+        return math.inf
 
 
 def factorial_power_exact(n: int, R: int) -> Fraction:

@@ -7,10 +7,9 @@ which every element stores, holds coeff z^e at key, and a raw product
 denominator D.  ``add_scaled`` adds a scaled, z-shifted run of such pairs into
 a flat map, dropping zeros; it is the one get/add/drop-zero loop that the
 elements, the kernel, the part-sum (``sym.sum_parts``), the BCH series and
-``zp_add_into`` accumulate through.  A ``PolyZ``, a canonical map from
-nonnegative z-exponents to nonzero ``Fraction``, is only the public view of
-one key's coefficient, built on demand.  ``zp_addmul_into`` keeps the
-z-polynomial product apart.
+the z-polynomial sum and product accumulate through.  A ``PolyZ``, a
+canonical map from nonnegative z-exponents to nonzero ``Fraction``, is only
+the public view of one key's coefficient, built on demand.
 """
 
 from __future__ import annotations
@@ -61,25 +60,10 @@ def zp_add_into(acc: dict, other: Mapping[int, Fraction], scale: Fraction) -> No
         add_scaled(acc, other.items(), scale)
 
 
-def zp_addmul_into(acc: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> None:
-    """acc += a * b, in place, dropping zeros."""
-    for ea, va in a.items():
-        for eb, vb in b.items():
-            e = ea + eb
-            v = acc.get(e)
-            if v is None:
-                acc[e] = va * vb
-            else:
-                v = v + va * vb
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
-
-
 def zp_mul(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> dict:
     out: dict = {}
-    zp_addmul_into(out, a, b)
+    for ea, va in a.items():
+        add_scaled(out, [(ea + eb, vb) for eb, vb in b.items()], va)
     return out
 
 

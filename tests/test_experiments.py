@@ -501,6 +501,28 @@ def test_cli_float_overflow_exits_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+Z200 = str(10**200)  # finite as a float, but its folds' c^n is not
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nfold-estimate", "--R", "1000"],  # n!^R
+        ["functorial", "--R", "500"],
+        ["cn-estimate", "--R=-800", "--max-degree", "3"],  # n!^(1-R)
+        ["nilpotent-estimate", "--z", Z200],  # c^n in the fold rows
+        ["linear-estimate", "--z", Z200],  # the split series for c_{z,R}
+    ],
+)
+def test_cli_overflowing_bound_fails_its_rows(argv, tmp_path, capsys):
+    """A right-hand side past the float range is inf, so its rows fail as
+    non-finite and the command exits 1 with a summary, not a traceback."""
+    assert main(["experiment", *argv, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL  ") for line in lines)
+    assert lines[-1].startswith("total: ") and not lines[-1].endswith(" 0 failures")
+
+
 def test_functorial_sweep_lifts_homs_without_checked_constructions(monkeypatch):
     """``_lift_hom`` builds its images and units trusted: a functorial sweep
     makes no checked ``SparseElement`` construction from inside it."""

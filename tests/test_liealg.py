@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pickle
@@ -14,6 +15,7 @@ from guttstar.liealg import (
     basis_vector,
     bracket,
     check_hom,
+    filiform4,
     heisenberg,
     load_algebra,
     make_algebra,
@@ -22,6 +24,7 @@ from guttstar.liealg import (
     sl2,
     validate,
 )
+from random_inputs import nilpotent_algebras, rescaled_sl2
 
 
 rationals = st.fractions(
@@ -115,6 +118,14 @@ def test_nilpotency_index(heis, sl2_algebra, fil4):
     assert nilpotency_index(abelian(4)) == 1
     assert nilpotency_index(sl2_algebra) is None
     assert nilpotency_index(fil4) == 3
+    # [e0, e1] = e1: the series stops at span(e1), one dimension below g
+    assert nilpotency_index(make_algebra(2, ("e0", "e1"), {(0, 1): {1: 1}})) is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(L=rescaled_sl2())
+def test_nilpotency_index_of_rescaled_sl2_is_none(L):
+    assert nilpotency_index(L) is None
 
 
 def _nested(L, letters):
@@ -124,17 +135,20 @@ def _nested(L, letters):
     return val
 
 
-def test_nilpotency_vanishing_words(heis, fil4, rng):
-    import itertools
-
-    for L in (heis, fil4):
-        N = nilpotency_index(L)
-        for letters in itertools.product(range(L.dim), repeat=N + 1):
-            assert not any(_nested(L, letters))
-        assert any(
-            any(_nested(L, letters))
-            for letters in itertools.product(range(L.dim), repeat=N)
-        )
+@settings(max_examples=15, deadline=None)
+@given(
+    L=st.one_of(
+        st.just(heisenberg()),
+        st.just(filiform4()),
+        nilpotent_algebras([0, 0, 1, -1, Fraction(1, 2)]),
+    )
+)
+def test_nilpotency_vanishing_words(L):
+    """Every nested bracket of N + 1 letters vanishes and some of N does not."""
+    N = nilpotency_index(L)
+    for letters in itertools.product(range(L.dim), repeat=N + 1):
+        assert not any(_nested(L, letters))
+    assert any(any(_nested(L, letters)) for letters in itertools.product(range(L.dim), repeat=N))
 
 
 # ---------------------------------------------------------------------------

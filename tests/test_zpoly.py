@@ -24,6 +24,13 @@ def test_arithmetic():
     assert (z * z) == PolyZ.z(power=2)
 
 
+def test_product_drops_cancelled_coefficients():
+    z = PolyZ.z()
+    product = (1 + z) * (1 - z)
+    assert product == 1 - z * z
+    assert dict(product.items()) == {0: 1, 2: -1}  # no z^1 entry with value 0
+
+
 def test_evaluate():
     p = PolyZ({0: Fraction(1), 1: Fraction(-1), 2: Fraction(1)})
     assert p.evaluate(1) == 1
