@@ -6,8 +6,6 @@ from .bch import (
     bch_tilde,
     bernoulli_star,
     carlitz_check,
-    cn_general,
-    cn_monomial,
     dynkin_bracket,
     exp_product_check,
     goldberg_coefficient,
@@ -48,13 +46,10 @@ from .pbw import PbwElement, lift_hom, pbw_mul, q_z, q_z_inv, star, star_graded,
 from .sym import (
     Seminorm,
     SymElement,
-    evaluate_z,
     exp_truncated,
     pR_norm,
     pR_norm_exact,
     pn_norm,
-    project,
-    scale_seminorm,
     submultiplicative_scale,
     sym_mul,
 )

@@ -42,7 +42,7 @@ from typing import Optional, Sequence, Union
 
 from .liealg import LieAlgebra, Vector, _bracket, as_vector, nilpotency_index
 from .pbw import star_pbw
-from .sym import SymElement, exp_truncated, raw_sum, sum_parts, sym_mul
+from .sym import SymElement, exp_truncated, raw_sum, sum_parts
 from .zpoly import add_scaled
 
 MAX_TRUNCATION = 12
@@ -128,11 +128,6 @@ def _bucket(n: int) -> int:
     raise AssertionError("unreachable")
 
 
-def _series_for(n: int) -> FreeSeries:
-    """A cached expansion covering degree n."""
-    return log_expansion(_bucket(n))
-
-
 def _log_expansion_impl(truncation: int) -> FreeSeries:
     """log(e^X e^Y) = sum_m (-1)^(m+1)/m E^m with E = e^X e^Y - 1, on ints.
 
@@ -183,12 +178,12 @@ def goldberg_coefficient(word: str) -> Fraction:
     """g_w: the coefficient of the word in the associative log expansion."""
     if not word or set(word) - {"X", "Y"}:
         raise ValueError("word must be a nonempty string over {X, Y}")
-    return _series_for(len(word)).coefficient(word)
+    return log_expansion(_bucket(len(word))).coefficient(word)
 
 
 def thompson_sum(n: int) -> Fraction:
     """sum_{|w| = n} |g_w|; bounded by 2 for n >= 1."""
-    series = _series_for(max(n, 1))
+    series = log_expansion(_bucket(max(n, 1)))
     return sum((abs(c) for c in series.slice(n).values()), Fraction(0))
 
 
@@ -207,7 +202,7 @@ def dynkin_consistency_residual(n: int) -> FreeSeries:
     Empty result certifies the left-nested orientation and the normalization
     of the Goldberg coefficients at degree n.
     """
-    series = _series_for(n)
+    series = log_expansion(_bucket(n))
     residual = FreeSeries(n)
     for w, g in series.slice(n).items():
         residual = residual.add_scaled(free_nested_bracket(w, n), g / n)
@@ -388,11 +383,6 @@ def _bernoulli_weights(n_max: int) -> tuple[int, tuple[int, ...]]:
     return common, tuple(r.numerator * (common // r.denominator) for r in ratios)
 
 
-def bernoulli_first_kind(n_max: int) -> tuple[Fraction, ...]:
-    """Standard first-kind Bernoulli numbers via B_n = (-1)^n B*_n."""
-    return tuple((-1) ** n * b for n, b in enumerate(bernoulli_star(n_max)))
-
-
 # ---------------------------------------------------------------------------
 # the Bernoulli formula for a linear right factor
 # ---------------------------------------------------------------------------
@@ -458,34 +448,6 @@ def nfold_star(L: LieAlgebra, vectors: Sequence[Sequence]) -> SymElement:
     for v in vectors[1:]:
         acc = star_linear(acc, v)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# the C_n operators
-# ---------------------------------------------------------------------------
-
-
-def cn_monomial(
-    L: LieAlgebra, xi: Sequence, k: int, eta: Sequence, l: int, n: int
-) -> SymElement:
-    """z^n coefficient of xi^k * eta^l via the BCH composition formula.
-
-    With r = k + l - n this is (k! l! / r!) times the sum over ordered tuples
-    of bidegrees (a_i, b_i), a_i + b_i >= 1, summing to (k, l), of the
-    Sym-product of the BCH_{a_i,b_i} vectors: the z^n part of ``star_bch``.
-    """
-    if k < 0 or l < 0 or n < 0:
-        raise ValueError("degrees must be nonnegative")
-    return star_bch(L, xi, k, eta, l).z_coefficient(n)
-
-
-def cn_general(x: SymElement, y: SymElement, n: int) -> SymElement:
-    """z^n coefficient of star_pbw(x, y); inputs must be z-constant."""
-    if not (x.is_z_constant and y.is_z_constant):
-        raise ValueError("cn_general needs z-constant inputs")
-    if n == 0:
-        return sym_mul(x, y)
-    return star_pbw(x, y).z_coefficient(n)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +632,7 @@ def carlitz_check(k: int, m: int) -> Fraction:
     """
     if k < 0 or m < 0:
         raise ValueError("need k, m >= 0")
-    bern = bernoulli_first_kind(k + m)
+    bern = [(-1) ** n * b for n, b in enumerate(bernoulli_star(k + m))]
     lhs = Fraction((-1) ** k) * sum(
         (Fraction(math.comb(k, j)) * bern[m + j] for j in range(k + 1)), Fraction(0)
     )

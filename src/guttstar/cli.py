@@ -41,6 +41,10 @@ MUL_MAX_TERM_PAIRS = 10_000
 # limit of `verify --max-degree` (a third of it is the assoc suite's factor
 # degree): `verify all` on sl2 takes 1-3.2 s at 24, 5.5-21 s at 30 (seeds 0-4)
 VERIFY_MAX_DEGREE = 24
+# limit of `experiment heisenberg-growth --kmax`: each row multiplies P^k by
+# Q^k, and at --R 0.5 --eps 0.125 --z 1 the command takes 0.6-1.3 s of CPU
+# at 30, 2.4-3.8 s at 40 and 6-9 s at 50
+GROWTH_MAX_KMAX = 40
 
 
 class UsageError(Exception):
@@ -355,6 +359,8 @@ def cmd_experiment(args) -> int:
             raise UsageError(f"{flag} must be nonnegative")
     if args.name == "heisenberg-growth" and given.get("--kmax", 2) < 2:
         raise UsageError("heisenberg-growth needs --kmax >= 2 to test monotonicity")
+    if args.name == "heisenberg-growth" and given.get("--kmax", 2) > GROWTH_MAX_KMAX:
+        raise UsageError(f"heisenberg-growth needs --kmax <= {GROWTH_MAX_KMAX}")
     algebra, weights = _load_algebra_arg(args.algebra)
     for override in args.weights or ():
         try:

@@ -396,13 +396,13 @@ def heisenberg_growth(
     for k in range(1, k_max + 1):
         product = star_pbw(P**k, Q**k).evaluate_z(z0)
         norm_product = pR_norm(p, R, product)
-        scale = math.exp(-2.0 * (R + eps) * math.lgamma(k + 1))
+        scale = factorial_power(k, -2.0 * (R + eps))
         table.rows.append(
             GrowthRow(
                 k=k,
-                factor_norm=math.exp(-eps * math.lgamma(k + 1)),
+                factor_norm=factorial_power(k, -eps),
                 product_norm=norm_product * scale,
-                lower_bound=math.exp((1.0 - R - 2.0 * eps) * math.lgamma(k + 1)),
+                lower_bound=factorial_power(k, 1.0 - R - 2.0 * eps),
             )
         )
     return table

@@ -216,6 +216,7 @@ def _span_basis(vectors: Iterable[Vector]) -> list[Vector]:
     return [row for _, row in rows]
 
 
+@lru_cache(maxsize=None)
 def nilpotency_index(L: LieAlgebra) -> Optional[int]:
     """Smallest N with the lower central series g^(N+1) = 0, or None.
 

@@ -305,14 +305,6 @@ def sum_parts(parts: list) -> dict:
     return {key: Fraction(v, common) for key, v in acc.items()}
 
 
-def project(x: SymElement, n: int) -> SymElement:
-    return x.project(n)
-
-
-def evaluate_z(x: SymElement, z0: Union[int, Fraction]) -> SymElement:
-    return x.evaluate_z(z0)
-
-
 def exp_truncated(x: SymElement, order: int) -> SymElement:
     """sum_{n<=order} x^n / n!"""
     if order < 0:
@@ -448,8 +440,8 @@ def weight_ratio(
     return n, num, den
 
 
-def pn_by_degree(p: Seminorm, x: SymElement) -> dict[int, Fraction]:
-    """{n: p^n(x_n)} for every degree n of x, read in one pass.
+def pn_terms(p: Seminorm, x: SymElement) -> list[tuple[int, Fraction]]:
+    """The (n, p^n(x_n)) pairs of x by increasing degree, read in one pass.
 
     Each degree sums |c_alpha| prod w^alpha as an int numerator over the
     least common denominator; only the final value is a Fraction."""
@@ -461,19 +453,14 @@ def pn_by_degree(p: Seminorm, x: SymElement) -> dict[int, Fraction]:
         n, num, den = weight_ratio(c, alpha, nums, dens)
         prev = acc.get(n)
         acc[n] = (num, den) if prev is None else ratio_add(*prev, num, den)
-    return {n: Fraction(num, den) for n, (num, den) in acc.items()}
+    return [(n, Fraction(num, den)) for n, (num, den) in sorted(acc.items())]
 
 
 def pn_norm(p: Seminorm, x: SymElement) -> Fraction:
     """p^n of a homogeneous, z-constant element: sum |c_alpha| prod w^alpha."""
     if not x.is_homogeneous():
         raise ValueError("pn_norm needs a homogeneous element")
-    return sum(pn_by_degree(p, x).values(), Fraction(0))
-
-
-def pn_terms(p: Seminorm, x: SymElement) -> list[tuple[int, Fraction]]:
-    """The (n, p^n(x_n)) pairs of x by increasing degree, for graded_sum."""
-    return sorted(pn_by_degree(p, x).items())
+    return sum((v for _, v in pn_terms(p, x)), Fraction(0))
 
 
 def graded_sum(
@@ -499,12 +486,7 @@ def pR_norm(p: Seminorm, R: RLike, x: SymElement, scale: float = 1.0) -> float:
 
 def pR_norm_exact(p: Seminorm, R: int, x: SymElement) -> Fraction:
     """p_R(x) as an exact rational, available for integral R."""
-    parts = pn_by_degree(p, x)
-    return sum((factorial_power_exact(n, R) * v for n, v in parts.items()), Fraction(0))
-
-
-def scale_seminorm(c: Union[int, Fraction], p: Seminorm) -> Seminorm:
-    return p.scale(c)
+    return sum((factorial_power_exact(n, R) * v for n, v in pn_terms(p, x)), Fraction(0))
 
 
 def submultiplicative_scale(L: LieAlgebra, p: Seminorm) -> Fraction:

@@ -11,8 +11,6 @@ from guttstar.bch import (
     bch_tilde,
     bernoulli_star,
     carlitz_check,
-    cn_general,
-    cn_monomial,
     dynkin_bracket,
     dynkin_consistency_residual,
     exp_product_check,
@@ -257,7 +255,7 @@ def test_cn_monomial_first_order(heis, sl2_algebra, rng):
         xi = random_nonzero_vector(L, rng)
         eta = random_nonzero_vector(L, rng)
         half = SymElement.from_vector(L, bracket(L, xi, eta)).scale(Fraction(1, 2))
-        assert cn_monomial(L, xi, 1, eta, 1, 1) == half
+        assert star_bch(L, xi, 1, eta, 1).z_coefficient(1) == half
 
 
 def test_cn_monomial_heisenberg_closed_form(heis):
@@ -267,14 +265,14 @@ def test_cn_monomial_heisenberg_closed_form(heis):
         for j in range(1, k + 1):
             coeff = Fraction(math.comb(k, j) ** 2 * math.factorial(j), 2**j)
             expected = SymElement(heis, {(k - j, k - j, j): coeff})
-            assert cn_monomial(heis, P, k, Q, k, j) == expected
+            assert star_bch(heis, P, k, Q, k).z_coefficient(j) == expected
 
 
 def test_cn_monomial_out_of_range(heis):
     P = basis_vector(heis, 0)
     Q = basis_vector(heis, 1)
-    assert cn_monomial(heis, P, 1, Q, 1, 2).is_zero
-    assert cn_monomial(heis, P, 2, Q, 1, 0) == sym_mul(
+    assert star_bch(heis, P, 1, Q, 1).z_coefficient(2).is_zero
+    assert star_bch(heis, P, 2, Q, 1).z_coefficient(0) == sym_mul(
         SymElement.basis(heis, 0) ** 2, SymElement.basis(heis, 1)
     )
 
@@ -290,25 +288,19 @@ def test_cn_nilpotent_vanishing(heis, fil4):
             for l in range(1, 4):
                 for n in range(1, k + l):
                     if n > (k + l) * (N - 1) / N:
-                        assert cn_monomial(L, xi, k, eta, l, n).is_zero
+                        assert star_bch(L, xi, k, eta, l).z_coefficient(n).is_zero
 
 
 def test_cn_general_first_orders(heis, sl2_algebra):
     for L in (heis, sl2_algebra):
         x = SymElement.basis(L, 0)
         y = SymElement.basis(L, 1)
-        assert cn_general(x, y, 0) == sym_mul(x, y)
-        first = cn_general(x, y, 1) - cn_general(y, x, 1)
+        assert star_pbw(x, y).z_coefficient(0) == sym_mul(x, y)
+        first = star_pbw(x, y).z_coefficient(1) - star_pbw(y, x).z_coefficient(1)
         expected = SymElement.from_vector(
             L, bracket(L, basis_vector(L, 0), basis_vector(L, 1))
         )
         assert first == expected
-
-
-def test_cn_general_requires_z_constant(heis):
-    x = SymElement(heis, {(1, 0, 0): PolyZ.z()})
-    with pytest.raises(ValueError):
-        cn_general(x, x, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +402,15 @@ def test_exp_product_check_preconditions(heis, sl2_algebra):
         exp_product_check(sl2_algebra, P, Q, 1, 4)
     with pytest.raises(ValueError):
         exp_product_check(heis, P, Q, 0, 4)
+
+
+def test_exp_product_check_reads_the_nilpotency_index_once(heis):
+    from guttstar.liealg import nilpotency_index
+
+    nilpotency_index.cache_clear()
+    exp_product_check(heis, basis_vector(heis, 0), basis_vector(heis, 1), 1, 6)
+    info = nilpotency_index.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_one_parameter_group_law(heis, rng):

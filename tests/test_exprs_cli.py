@@ -319,6 +319,7 @@ HEIS_FILE = {
         (["functorial", "--weight", "0=2"], "functorial always runs on the Heisenberg"),
         (["functorial", "--algebra", "{file}"], "functorial always runs on the Heisenberg"),
         (["no-exp", "--weight", "0=5"], "no-exp always runs on the Heisenberg"),
+        (["heisenberg-growth", "--kmax", "41", "--eps", "0.125", "--R", "0.5"], "needs --kmax <= 40"),
     ],
 )
 def test_cli_experiment_rejects_vacuous_or_ignored_inputs(argv, message, tmp_path, capsys):
