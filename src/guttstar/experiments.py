@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .bch import bernoulli_star
-from .hopf import antipode, coproduct, tensor_sum, tensor_terms, weyl_project, weyl_terms
+from .hopf import antipode, coproduct, tensor_sum, tensor_terms, weyl_lift, weyl_project
 from .liealg import (
     LieAlgebra,
     LieHom,
@@ -738,7 +738,9 @@ def weyl_sweep(
         (x, px), (y, py) = inputs[alpha], inputs[beta]
         product = star_pbw(x, y)
         projected = [weyl_project(product, c0) for c0 in centrals]
-        terms = [weyl_terms(p, projected[j].evaluate_z(z0)) for (z0, _), j in zip(pairs, ci)]
+        terms = [
+            pn_terms(p, weyl_lift(L, projected[j].evaluate_z(z0))) for (z0, _), j in zip(pairs, ci)
+        ]
         params = f"mono:{alpha}|{beta}"
         for (R, _, _), i, report, a, b in zip(grid, pi, reports, px, py):
             report.add(params, graded_sum(terms[i], R), a * b)

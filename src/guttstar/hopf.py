@@ -30,7 +30,6 @@ from .sym import (
     random_element,
     sum_parts,
     weight_ratio,
-    weight_ratios,
 )
 from .zpoly import CoeffLike, PolyZ, add_scaled
 
@@ -224,7 +223,7 @@ def verify_hopf(L: LieAlgebra, max_degree: int, seed: int = 0, samples: int = 4)
 def tensor_terms(p: Seminorm, t: SymTensorElement) -> list[tuple[int, Fraction, int]]:
     """The (|a|, |c| w^a w^b, |b|) triple of each term c xi^a (x) xi^b of t,
     in the order of t, for tensor_sum."""
-    nums, dens = weight_ratios(p)
+    nums, dens = p._ratios
     out = []
     for ((a, b), e), c in t._terms.items():
         if e:
@@ -317,15 +316,3 @@ def weyl_mul(L: LieAlgebra, a: WeylElement, b: WeylElement) -> WeylElement:
     a._require_same(b)
     return weyl_project(star_pbw(weyl_lift(L, a), weyl_lift(L, b)), a.central)
 
-
-def weyl_terms(p: Seminorm, w: WeylElement) -> list[tuple[int, Fraction]]:
-    """The (degree, |c| w^alpha) pair of each term of w, in the order of w,
-    for sym.graded_sum."""
-    nums, dens = weight_ratios(p)
-    out = []
-    for ((k, l), e), c in w._terms.items():
-        if e:
-            raise ValueError("norm needs z-constant coefficients; evaluate_z first")
-        n, num, den = weight_ratio(c, (l, k), nums, dens)  # P^l Q^k
-        out.append((n, Fraction(num, den)))
-    return out

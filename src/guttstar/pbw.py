@@ -18,14 +18,15 @@ symmetrization Q(alpha) = n! q(xi^alpha),
 so Q(alpha) has integer coefficients whenever the structure constants are
 integers; the kernel and the memo table of Q then hold Python ints only.
 
-The inverse runs a top-down triangular elimination: q of a degree-n
-monomial is its sorted word plus strictly shorter words.  The words still to
-be eliminated are kept as numerators over one common denominator D.  Taking
-off the words of length m reads each coefficient c / D, multiplies every
-remaining numerator and D by m!, and subtracts c Q(alpha), which is then
-exact: c/D q(xi^alpha) = c Q(alpha) / (D m!).  The result is the raw
-product ``(D, (((alpha, e), n), ...))``: every numerator n over the final D,
-and with integral constants all of them ints reduced by their common gcd.
+q is unitriangular: q(xi^alpha) is the sorted word of alpha plus the terms of
+Q(alpha) / n! with a power of z, all of them shorter words.  So the inverse
+of a sorted word is xi^alpha minus the inverses of those shorter words, one
+``sym.raw_sum`` over them, memoized per sorted word as Q is per multi-index.
+The inverse of a PBW element is one more ``raw_sum``, over the inverse rows
+of its words, taken to the raw product ``(D, (((alpha, e), n), ...))``:
+every numerator n over one common denominator D, all of them ints reduced
+by their common gcd.
+
 ``star_pbw`` is the pull-back product q_z^{-1}(q_z(x) . q_z(y)), computed per
 monomial pair as Q(alpha) Q(beta) / (|alpha|! |beta|!), and the reference
 oracle for every other product construction in this package.  The star memo
@@ -39,8 +40,8 @@ common denominator, so each output coefficient is built once, as one
 immutable raw products they were handed, so a clear is safe at any point.
 
 Give every letter and z degree 1: the rewriting rule is then homogeneous,
-so a term of length m in Q(alpha), in a product of Q's or in any step of the
-elimination carries exactly z^(n - m).  Every internal map is therefore flat,
+so a term of length m in Q(alpha), in a product of Q's or in an inverse
+row carries exactly z^(n - m).  Every internal map is therefore flat,
 ``{(word or multi-index, e): coeff}`` or the raw product's
 ``((gamma, e), n)`` pairs, with e the power of z, and every accumulation runs
 through ``zpoly.add_scaled``; the kernel counts e one bracket at a time.
@@ -48,11 +49,14 @@ Elements store the same flat form, so ``pbw_mul``, ``q_z`` and ``q_z_inv``
 pass their terms to the context and wrap its result unconverted.
 ``star_pbw`` reads e as the z-exponent, while ``star_graded`` drops it and
 reweights by the degree drop, so the two routes still check each other.  One
-context (kernel, Q memo and star memo) serves each algebra and both routes.
+context (kernel, Q memo, inverse memo and star memo) serves each algebra and
+both routes.
 
-Rational structure constants flow through the same code as ``Fraction``
-numerators, which are not reduced by a gcd.  Elements always store
-``Fraction`` coefficients, and show them per key as ``PolyZ``.
+Rational structure constants flow through the kernel and the Q memo as
+``Fraction`` coefficients; each inverse row and raw product splits them into
+int numerators and denominators, so the inverse memo and the star memo hold
+ints for every algebra.  Elements always store ``Fraction`` coefficients,
+and show them per key as ``PolyZ``.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from math import factorial, gcd
 
 from .kernel import PbwKernel
 from .liealg import LieAlgebra, LieHom, _bracket_table, check_hom
-from .sym import MultiIndex, SparseElement, SymElement, index_tuple, sum_parts, sym_mul
+from .sym import MultiIndex, SparseElement, SymElement, index_tuple, raw_sum, sum_parts, sym_mul
 from .zpoly import CoeffLike, add_scaled
 
 Word = tuple[int, ...]
@@ -107,8 +111,8 @@ class _Context:
     The star memo, keyed by pairs, holds at most ``STAR_MEMO_CAP`` entries,
     enough for the working set of every default experiment sweep.  The
     kernel's insert memo (per letter and sorted word), the Q memo (per
-    multi-index) and ``sym_keys`` (per sorted word and z-power) are not
-    capped: they grow with the degree in use, not with the pairs.
+    multi-index) and ``inv_cache`` (per sorted word) are not capped: they
+    grow with the degree in use, not with the pairs.
     """
 
     def __init__(self, algebra: LieAlgebra):
@@ -119,13 +123,11 @@ class _Context:
             rows[(j, i)] = tuple((k, -c) for k, c in row)
         self.kernel = PbwKernel(algebra.dim, rows)
         self.q_cache: dict[MultiIndex, dict] = {}
-        # (word, e) -> (multi-index, e), one key object shared by every raw product
-        self.sym_keys: dict[tuple, tuple] = {}
+        self.inv_cache: dict[Word, tuple] = {}
         self.star_cache: dict[tuple[MultiIndex, MultiIndex], tuple] = {}
 
     # Internals speak flat maps with int numerators where the constants
-    # allow; PolyZ and Fraction appear at the public boundary only, which
-    # keeps the elimination free of wrapper churn and gcd normalization.
+    # allow; PolyZ and Fraction appear at the public boundary only.
 
     def q_monomial(self, alpha: MultiIndex) -> dict:
         """Q(alpha) = |alpha|! q(xi^alpha); callers must not mutate."""
@@ -155,50 +157,35 @@ class _Context:
             add_scaled(out, self.q_monomial(alpha).items(), Fraction(c, factorial(sum(alpha))), e)
         return out
 
-    def q_inv_raw(self, u: dict, denom: int = 1) -> tuple:
-        """q_z^{-1}(u / denom), by triangular elimination on the word length,
-        as the raw product ``(D, (((alpha, e), n), ...))``: the coefficient of
-        z^e xi^alpha is n / D.  Integer numerators come out reduced by their common gcd with D.
+    def q_inv_word(self, word: Word) -> tuple:
+        """q_z^{-1} of a sorted word as the raw product ``(D, {(alpha, e): n})``;
+        callers must not mutate.  q(xi^alpha) is the word plus the terms of
+        Q(alpha) / n! with e > 0, all of them shorter words, so q^{-1}(word)
+        is xi^alpha minus those terms' inverse rows."""
+        cached = self.inv_cache.get(word)
+        if cached is not None:
+            return cached
+        alpha = _word_to_multi(word, self.algebra.dim)
+        f = factorial(len(word))
+        parts = [(1, (((alpha, 0), 1),), 1, 0)]
+        for (w, e), c in self.q_monomial(alpha).items():
+            if e:
+                d, row = self.q_inv_word(w)
+                parts.append((d * f * c.denominator, row.items(), -c.numerator, e))
+        cached = self.inv_cache[word] = raw_sum(parts)
+        return cached
 
-        Consumes u: its coefficients become the working numerators.
-        """
-        dim = self.algebra.dim
-        layers = []  # (D when the layer was taken off, [((alpha, e), c), ...])
-        sym_keys = self.sym_keys
-        remaining = u
-        top_len = max(len(w) for w, _ in remaining) if remaining else 0
-        while remaining:
-            final = top_len < 2  # q is the identity on words of length 0 and 1
-            layer = []
-            for key, c in remaining.items():
-                if final or len(key[0]) == top_len:
-                    sym_key = sym_keys.get(key)
-                    if sym_key is None:
-                        sym_key = sym_keys[key] = (_word_to_multi(key[0], dim), key[1])
-                    layer.append((sym_key, c))
-            layers.append((denom, layer))
-            if final:
-                break
-            f = factorial(top_len)
-            for key in remaining:
-                remaining[key] *= f
-            denom *= f
-            # c/D q(xi^alpha) = c Q(alpha) / (D f): subtract c Q(alpha), whose top
-            # word (f times the sorted word) cancels the layer's scaled numerator
-            for (alpha, e), c in layer:
-                add_scaled(remaining, self.q_monomial(alpha).items(), -c, e)
-            shorter = max(len(w) for w, _ in remaining) if remaining else 0
-            assert shorter < top_len, "elimination failed"
-            top_len = shorter
-        terms = [(key, c * (denom // d)) for d, layer in layers for key, c in layer]
-        try:
-            g = gcd(denom, *[n for _, n in terms])
-        except TypeError:  # Fraction numerators (rational constants or inputs)
-            return denom, tuple(terms)
-        if g > 1:
-            denom //= g
-            terms = [(key, n // g) for key, n in terms]
-        return denom, tuple(terms)
+    def q_inv_raw(self, u: dict, denom: int = 1) -> tuple:
+        """q_z^{-1}(u / denom) as the raw product ``(D, (((alpha, e), n), ...))``:
+        the coefficient of z^e xi^alpha is n / D, with D and the int numerators
+        reduced by their common gcd."""
+        parts = []
+        for (w, e), c in u.items():
+            d, row = self.q_inv_word(w)
+            parts.append((d * denom * c.denominator, row.items(), c.numerator, e))
+        denom, acc = raw_sum(parts)
+        g = gcd(denom, *acc.values())
+        return denom // g, tuple((key, n // g) for key, n in acc.items())
 
     def star_monomials(self, alpha: MultiIndex, beta: MultiIndex) -> tuple:
         """Raw xi^alpha * xi^beta as ``(D, (((gamma, e), n), ...))``, the
@@ -255,7 +242,7 @@ def q_z(x: SymElement) -> PbwElement:
 
 def q_z_inv(u: PbwElement) -> SymElement:
     """Exact inverse of q_z."""
-    denom, terms = _context(u.algebra).q_inv_raw(dict(u._terms))  # q_inv_raw consumes its input
+    denom, terms = _context(u.algebra).q_inv_raw(u._terms)
     return SymElement._raw(u.algebra, sum_parts([(denom, terms, 1, 0)]))
 
 

@@ -347,7 +347,8 @@ class Seminorm:
 
     algebra: LieAlgebra
     weights: tuple[Fraction, ...]
-    # the weights' int numerators and denominators, read by weight_ratios
+    # the weights as parallel tuples of int numerators and denominators, read
+    # by pn_terms and hopf.tensor_terms
     _ratios: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -422,15 +423,11 @@ def graded_term(n: int, R: RLike, part: Fraction, scale: float = 1.0) -> float:
     return math.exp(log_term)
 
 
-def weight_ratios(p: Seminorm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The weights as parallel tuples of int numerators and denominators."""
-    return p._ratios
-
-
 def weight_ratio(
     c: Union[int, Fraction], alpha: Sequence[int], nums: Sequence[int], dens: Sequence[int]
 ) -> tuple[int, int, int]:
-    """(|alpha|, num, den) with num/den = |c| prod w^alpha, from weight_ratios."""
+    """(|alpha|, num, den) with num/den = |c| prod w^alpha, from a seminorm's
+    ``_ratios``."""
     n, num, den = 0, abs(c.numerator), c.denominator
     for a, wn, wd in zip(alpha, nums, dens):
         if a:
@@ -445,7 +442,7 @@ def pn_terms(p: Seminorm, x: SymElement) -> list[tuple[int, Fraction]]:
 
     Each degree sums |c_alpha| prod w^alpha as an int numerator over the
     least common denominator; only the final value is a Fraction."""
-    nums, dens = weight_ratios(p)
+    nums, dens = p._ratios
     acc: dict[int, tuple[int, int]] = {}
     for (alpha, e), c in x._terms.items():
         if e:

@@ -9,7 +9,7 @@ import pytest
 import guttstar.experiments as ex
 from guttstar.cli import main
 from guttstar.liealg import basis_vector, filiform4, heisenberg, sl2
-from guttstar.sym import Seminorm
+from guttstar.sym import Seminorm, SymElement
 
 
 @pytest.fixture(scope="module")
@@ -203,10 +203,10 @@ def test_run_experiment_and_csv(tmp_path, heis):
 
 
 # sha256 over "estimate_id|grid|params|repr(lhs)|repr(rhs)" lines of all ten
-# default sweeps at seed=0, max_degree=4, taken before the sweeps built their
-# inputs once per call and before star_pbw served unit monomials from its memo
+# default sweeps at seed=0, max_degree=4, taken once the Weyl norm summed
+# exactly per degree: that moved 213 weyl-estimate lhs values by at most 1 ulp
 SWEEP_ROWS = 20706
-SWEEP_DIGEST = "90f1973f19c9e5b4ff3731035b21e3507f3a797622b6541f9068ed7cfcd67215"
+SWEEP_DIGEST = "5965df862ede97a7a5409f06b2224ee955964e5c198ad8b799b56a41fac59136"
 
 
 def test_default_sweeps_keep_their_rows():
@@ -220,6 +220,30 @@ def test_default_sweeps_keep_their_rows():
                 rows += 1
     assert rows == SWEEP_ROWS
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+
+def _sweep_rows(max_degree):
+    return [
+        f"{report.estimate_id}|{report.grid}|{row.params}|{row.lhs!r}|{row.rhs!r}"
+        for name in ex.EXPERIMENT_NAMES
+        for report in ex.run_experiment(name, seed=0, max_degree=max_degree)
+        for row in report.rows
+    ]
+
+
+def test_rows_do_not_depend_on_the_order_of_a_products_terms(monkeypatch):
+    """Every norm is summed exactly per degree, so listing a product's terms
+    in reverse moves no row."""
+    forward = _sweep_rows(3)
+    star_pbw = ex.star_pbw
+
+    def reversed_star(x, y):
+        product = star_pbw(x, y)
+        return SymElement._raw(product.algebra, dict(reversed(product._terms.items())))
+
+    monkeypatch.setattr(ex, "star_pbw", reversed_star)
+    assert _sweep_rows(3) == forward
 
 
 WEIGHTS = (Fraction(2), Fraction(1, 3), Fraction(5, 2))

@@ -1,7 +1,8 @@
 """Property tests of the PBW route, mostly on algebras with non-integral
-structure constants, where the pipeline runs on Fraction numerators instead
-of int: random valid nilpotent algebras of dimension 3-5 and rational
-rescalings of sl2.  The star memo tests add integral algebras and sl2."""
+structure constants, where the kernel and the Q memo run on Fraction
+coefficients instead of int: random valid nilpotent algebras of dimension
+3-5 and rational rescalings of sl2.  The memo tests add integral algebras
+and sl2."""
 
 import itertools
 import math
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guttstar import pbw
-from guttstar.liealg import _bracket_table, bracket, sl2
-from guttstar.pbw import _context, pbw_mul, q_z, q_z_inv, star_graded, star_pbw
+from guttstar.experiments import monomial_pairs
+from guttstar.liealg import bracket, filiform4, heisenberg, make_algebra, sl2
+from guttstar.pbw import PbwElement, _context, pbw_mul, q_z, q_z_inv, star_graded, star_pbw
 from guttstar.sym import SymElement
 from guttstar.zpoly import PolyZ
 
@@ -177,9 +179,27 @@ def test_star_memo_stays_within_its_cap_and_products_do_not_change(L):
         assert capped == lifted
 
 
-def _is_integral(L):
-    return all(type(c) is int for row in _bracket_table(L).values() for _, c in row)
 
+def test_inverse_memo_holds_one_row_per_sorted_word():
+    """A cold star_pbw over every monomial pair to total degree D leaves at
+    most one inverse row per sorted word of length at most D, that is
+    comb(D + dim, dim) rows however many pairs ran, and q_z of each row's
+    element is its word, for integral and rational structure constants."""
+    rational_sl2 = make_algebra(
+        3,
+        ("H", "E", "F"),
+        {(0, 1): {1: Fraction(2, 3)}, (0, 2): {2: Fraction(-2, 3)}, (1, 2): {0: Fraction(1, 2)}},
+    )
+    for L, degree in ((sl2(), 6), (heisenberg(), 7), (filiform4(), 5), (rational_sl2, 5)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pbw, "_contexts", {})
+            for alpha, beta in monomial_pairs(L, degree):
+                star_pbw(SymElement.monomial(L, alpha), SymElement.monomial(L, beta))
+            rows = _context(L).inv_cache
+        assert len(rows) <= math.comb(degree + L.dim, L.dim)
+        for word, (denom, row) in rows.items():
+            element = SymElement._raw(L, {key: Fraction(n, denom) for key, n in row.items()})
+            assert q_z(element) == PbwElement(L, {word: 1})
 
 memo_algebras = st.one_of(
     nilpotent_algebras([0, 1, -1, 2]), st.just(sl2()), rescaled_sl2(), algebras
@@ -197,16 +217,15 @@ def memo_cases(draw):
 @settings(deadline=None)
 def test_star_memo_holds_reduced_integer_numerators_of_the_definition(case):
     """A star memo entry is (D, (((gamma, e), n), ...)) with n / D the
-    coefficient of z^e xi^gamma in q_z^{-1}(q_z(xi^alpha) q_z(xi^beta)); with
-    integral structure constants D and every n are ints without a common
-    factor."""
+    coefficient of z^e xi^gamma in q_z^{-1}(q_z(xi^alpha) q_z(xi^beta)); for
+    rational structure constants as for integral ones, D and every n are ints
+    without a common factor."""
     L, alpha, beta = case
     x, y = SymElement.monomial(L, alpha), SymElement.monomial(L, beta)
     star_pbw(x.scale(2), y)
     denom, terms = _context(L).star_cache[(alpha, beta)]
-    if _is_integral(L):
-        assert all(type(v) is int for v in (denom, *(n for _, n in terms)))
-        assert math.gcd(denom, *(n for _, n in terms)) == 1
+    assert all(type(v) is int for v in (denom, *(n for _, n in terms)))
+    assert math.gcd(denom, *(n for _, n in terms)) == 1
     entry = {}
     for (gamma, e), n in terms:
         entry.setdefault(gamma, {})[e] = Fraction(n, denom)
