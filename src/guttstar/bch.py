@@ -17,8 +17,10 @@ and it is the one BCH route for every product: by polarization,
     xi^alpha = (1/k!) sum_{0 != b <= alpha} (-1)^(k-|b|) prod_i C(alpha_i, b_i) (b . e)^k,
 
 with k = |alpha|, every monomial is a signed sum of powers of integer
-vectors, so ``star_bch_elements`` is a weighted sum of power products, and
-``bch_tilde`` polarizes ``bch_ab`` over the subset sums of each block.
+vectors, so ``star_bch_elements`` is a weighted sum of power products, each
+shifted by its pair's z-exponents, and ``bch_tilde`` polarizes ``bch_ab``
+over the subset sums of each block.  The word walk stops at length
+min(k + l, N), N the nilpotency index; without one, at 12 letters.
 
 The BCH route runs on integer numerators, with ``Fraction`` only at the
 boundary: each vector is scaled by the lcm of its denominators, each word
@@ -46,7 +48,6 @@ from .sym import SymElement, exp_truncated, raw_sum, sum_parts
 from .zpoly import add_scaled
 
 MAX_TRUNCATION = 12
-DEFAULT_TRUNCATION = 8
 
 Scalar = Union[int, Fraction]
 
@@ -109,33 +110,18 @@ class FreeSeries:
 
 @lru_cache(maxsize=None)
 def log_expansion(truncation: int) -> FreeSeries:
-    """Coefficients of log(e^X e^Y) on all words of length <= truncation."""
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    if truncation > MAX_TRUNCATION:
-        raise ValueError(f"truncation above the supported maximum {MAX_TRUNCATION}")
-    return _log_expansion_impl(truncation)
+    """Coefficients of log(e^X e^Y) on all words of length <= truncation.
 
-
-def _bucket(n: int) -> int:
-    """The truncation whose cached expansion covers degree n; a few buckets
-    keep the caches small."""
-    if n > MAX_TRUNCATION:
-        raise ValueError(f"degree {n} above the supported truncation {MAX_TRUNCATION}")
-    for bucket in (DEFAULT_TRUNCATION, 10, MAX_TRUNCATION):
-        if n <= bucket:
-            return bucket
-    raise AssertionError("unreachable")
-
-
-def _log_expansion_impl(truncation: int) -> FreeSeries:
-    """log(e^X e^Y) = sum_m (-1)^(m+1)/m E^m with E = e^X e^Y - 1, on ints.
-
-    In the scaled form S(w) = |w|! coeff(w), E is C(a+b, a) on X^a Y^b and a
+    log(e^X e^Y) = sum_m (-1)^(m+1)/m E^m with E = e^X e^Y - 1, on ints: in
+    the scaled form S(w) = |w|! coeff(w), E is C(a+b, a) on X^a Y^b and a
     product picks up S(uv) = C(|uv|, |u|) S(u) S(v), so every power E^m is an
     integer series; the sum over m runs over M = lcm(1..truncation), and each
     word's coefficient is one Fraction(sum, M |w|!).
     """
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
+    if truncation > MAX_TRUNCATION:
+        raise ValueError(f"truncation above the supported maximum {MAX_TRUNCATION}")
     e_terms = [
         ("X" * a + "Y" * (n - a), math.comb(n, a))
         for n in range(1, truncation + 1)
@@ -178,12 +164,12 @@ def goldberg_coefficient(word: str) -> Fraction:
     """g_w: the coefficient of the word in the associative log expansion."""
     if not word or set(word) - {"X", "Y"}:
         raise ValueError("word must be a nonempty string over {X, Y}")
-    return log_expansion(_bucket(len(word))).coefficient(word)
+    return log_expansion(len(word)).coefficient(word)
 
 
 def thompson_sum(n: int) -> Fraction:
     """sum_{|w| = n} |g_w|; bounded by 2 for n >= 1."""
-    series = log_expansion(_bucket(max(n, 1)))
+    series = log_expansion(max(n, 1))
     return sum((abs(c) for c in series.slice(n).values()), Fraction(0))
 
 
@@ -202,7 +188,7 @@ def dynkin_consistency_residual(n: int) -> FreeSeries:
     Empty result certifies the left-nested orientation and the normalization
     of the Goldberg coefficients at degree n.
     """
-    series = log_expansion(_bucket(n))
+    series = log_expansion(n)
     residual = FreeSeries(n)
     for w, g in series.slice(n).items():
         residual = residual.add_scaled(free_nested_bracket(w, n), g / n)
@@ -235,22 +221,26 @@ def _integral(v: Vector) -> tuple[int, tuple[int, ...]]:
 
 
 def _bch_components(
-    L: LieAlgebra, k: int, l: int, xi: Vector, eta: Vector, top: Optional[int] = None
+    L: LieAlgebra, k: int, l: int, xi: Vector, eta: Vector
 ) -> dict[tuple[int, int], tuple[tuple[Scalar, ...], int]]:
-    """Every nonzero BCH_{a,b}(xi, eta) with a <= k, b <= l and a + b <= top
-    (default k + l), keyed (a, b), as a pair (v, d) with BCH_{a,b} = v / d.
+    """Every nonzero BCH_{a,b}(xi, eta) with a <= k and b <= l, keyed (a, b),
+    as a pair (v, d) with BCH_{a,b} = v / d.
 
     One depth-first walk over the words with at most k X's and at most l Y's:
     a word's left-nested bracket is its prefix's bracket with one more letter,
     so each word costs one bracket, and a prefix whose bracket vanishes prunes
-    every word that extends it (all words past XX or YY, and all words longer
-    than the nilpotency index of a nilpotent algebra).  The walk brackets the
+    every word that extends it (all words past XX or YY).  No word longer
+    than the nilpotency index N of a nilpotent algebra has a nonzero bracket,
+    so the walk stops at length top = min(k + l, N) and reads the weights of
+    ``log_expansion(top)``, which refuses top > 12.  The walk brackets the
     integral vectors D_xi xi and D_eta eta and weights each word by the
     integer numerator of g_w/n over G_n, so d = G_{a+b} D_xi^a D_eta^b.
     Inputs are trusted.
     """
-    top = k + l if top is None else top
-    weights, dens = _goldberg_weights(_bucket(top))
+    if k + l == 0:
+        return {}
+    top = min(k + l, nilpotency_index(L) or k + l)
+    weights, dens = _goldberg_weights(top)
     d_xi, xi = _integral(xi)
     d_eta, eta = _integral(eta)
     sums: dict[tuple[int, int], list[Scalar]] = {}
@@ -318,8 +308,6 @@ def bch_tilde(
     a, b = len(xis), len(etas)
     if a + b < 1:
         raise ValueError("need at least one argument")
-    if a + b > MAX_TRUNCATION:
-        raise ValueError(f"bidegree beyond the supported truncation {MAX_TRUNCATION}")
     norm = math.factorial(a) * math.factorial(b)
     terms = []
     y_sums = _subset_sums(L, etas)
@@ -471,8 +459,6 @@ def star_bch(L: LieAlgebra, xi: Sequence, k: int, eta: Sequence, l: int) -> SymE
     pair."""
     xi = as_vector(L, xi)
     eta = as_vector(L, eta)
-    if k + l == 0:
-        return SymElement.unit(L)
     return SymElement._raw(L, sum_parts(_star_bch_parts(L, xi, k, eta, l)))
 
 
@@ -538,33 +524,31 @@ def _times_vector(
 
 
 def star_bch_elements(x: SymElement, y: SymElement) -> SymElement:
-    """BCH-route product extended bilinearly to arbitrary z-constant elements.
+    """BCH-route product extended Q[z]-bilinearly to arbitrary elements.
 
-    Each homogeneous part of x and y polarizes onto powers of integer
-    vectors (``_polarize``), so x * y is a weighted sum of power products
-    (b . e)^k * (c . e)^l, each one ``star_bch`` by the composition formula.
-    The power products are memoized, bounded, per (L, b, k, c, l), so
-    monomial pairs that share a direction share its product; each weighted
-    power product is one part of ``sum_parts``.
+    Each homogeneous part of x and y with one power of z polarizes onto
+    powers of integer vectors (``_polarize``), so x * y is a weighted sum of
+    power products z^(ea+eb) (b . e)^k * (c . e)^l, each one ``star_bch`` by
+    the composition formula.  The power products are memoized, bounded, per
+    (L, b, k, c, l), so monomial pairs that share a direction share its
+    product; each weighted power product is one part of ``sum_parts``.
     """
     x._require_same(y)
-    if not (x.is_z_constant and y.is_z_constant):
-        raise ValueError("the BCH route needs z-constant inputs")
     L = x.algebra
     y_powers = _polarize(y)
     parts = []
-    for k, x_dirs in _polarize(x).items():
-        for l, y_dirs in y_powers.items():
+    for (k, ea), x_dirs in _polarize(x).items():
+        for (l, eb), y_dirs in y_powers.items():
             for b, wb in x_dirs.items():
                 for c, wc in y_dirs.items():
                     w = wb * wc
                     den, terms = _power_parts(L, b, k, c, l)
-                    parts.append((den * w.denominator, terms, w.numerator, 0))
+                    parts.append((den * w.denominator, terms, w.numerator, ea + eb))
     return SymElement._raw(L, sum_parts(parts))
 
 
-def _polarize(x: SymElement) -> dict[int, dict[tuple[int, ...], Fraction]]:
-    """The z-constant x as sum_k sum_b w_{k,b} (b . e)^k, {k: {b: w_{k,b}}},
+def _polarize(x: SymElement) -> dict[tuple[int, int], dict[tuple[int, ...], Fraction]]:
+    """x as sum_{k,j} z^j sum_b w_{k,j,b} (b . e)^k, {(k, j): {b: w_{k,j,b}}},
     over primitive nonnegative integer vectors b (b = 0 only for k = 0).
 
     A monomial of degree k polarizes as
@@ -573,8 +557,8 @@ def _polarize(x: SymElement) -> dict[int, dict[tuple[int, ...], Fraction]]:
 
     and b = g b' with b' primitive contributes g^k (b' . e)^k.
     """
-    out: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for (alpha, _), coeff in x._terms.items():
+    out: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+    for (alpha, e), coeff in x._terms.items():
         k = sum(alpha)
         terms = []
         for b in itertools.product(*(range(a + 1) for a in alpha)):
@@ -583,7 +567,7 @@ def _polarize(x: SymElement) -> dict[int, dict[tuple[int, ...], Fraction]]:
                 continue  # (0 . e)^k = 0
             w = (-1) ** (k - sum(b)) * g**k * math.prod(map(math.comb, alpha, b))
             terms.append((tuple(v // (g or 1) for v in b), w))
-        add_scaled(out.setdefault(k, {}), terms, coeff / math.factorial(k))
+        add_scaled(out.setdefault((k, e), {}), terms, coeff / math.factorial(k))
     return out
 
 
@@ -665,7 +649,7 @@ def bch_element(L: LieAlgebra, xi: Sequence, eta: Sequence, z0: Scalar) -> Vecto
         L,
         [
             (p ** (a + b - 1), q ** (a + b - 1) * den, vec)
-            for (a, b), (vec, den) in _bch_components(L, idx, idx, xi, eta, idx).items()
+            for (a, b), (vec, den) in _bch_components(L, idx, idx, xi, eta).items()
         ],
     )
 

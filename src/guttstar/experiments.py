@@ -831,7 +831,9 @@ def run_experiment(
     elif name == "linear-estimate":
         # points outside the lemma's parameter domain are left out
         grid = [(R, z0) for R in Rs for z0 in zs if abs(_float(z0)) < 2.0 * math.pi or R > 1]
-        reports = linear_sweep(L, p, grid, k_max=min(k_max, 8), seed=seed) if grid else []
+        if not grid:
+            raise ValueError("linear-estimate needs a point with |z| < 2*pi or R > 1")
+        reports = linear_sweep(L, p, grid, k_max=min(k_max, 8), seed=seed)
     elif name == "nfold-estimate":
         reports = nfold_sweep(L, p, [(R, z0) for R in Rs for z0 in zs], seed=seed)
     elif name == "nilpotent-estimate":

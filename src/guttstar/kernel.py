@@ -28,10 +28,9 @@ from .zpoly import add_scaled
 class PbwKernel:
     """Normal-ordering engine for one algebra."""
 
-    def __init__(self, dim, bracket_rows):
+    def __init__(self, bracket_rows):
         # bracket_rows: {(a, b): ((k, c), ...)} for all ordered pairs a != b with a
         # nonzero bracket (antisymmetry applied); c is an int or a Fraction.
-        self.dim = dim
         self._rows = {pair: row for pair, row in bracket_rows.items() if row}
         self._insert_memo = {}
 

@@ -121,7 +121,7 @@ class _Context:
         for (i, j), row in _bracket_table(algebra).items():
             rows[(i, j)] = row
             rows[(j, i)] = tuple((k, -c) for k, c in row)
-        self.kernel = PbwKernel(algebra.dim, rows)
+        self.kernel = PbwKernel(rows)
         self.q_cache: dict[MultiIndex, dict] = {}
         self.inv_cache: dict[Word, tuple] = {}
         self.star_cache: dict[tuple[MultiIndex, MultiIndex], tuple] = {}
@@ -271,20 +271,18 @@ def star_graded(x: SymElement, y: SymElement) -> SymElement:
     count dropped, and the degree-(k+l-n) part of each homogeneous block
     reweighted by z^n.
 
-    Requires z-constant inputs.  Must coincide with star_pbw.
+    Q[z]-bilinear: a pair z^ea, z^eb shifts by z^(ea+eb).  Equals star_pbw.
     """
     x._require_same(y)
-    if not (x.is_z_constant and y.is_z_constant):
-        raise ValueError("star_graded needs z-constant inputs")
     ctx = _context(x.algebra)
     parts = []
-    for (alpha, _), a in x._terms.items():
-        for (beta, _), b in y._terms.items():
+    for (alpha, ea), a in x._terms.items():
+        for (beta, eb), b in y._terms.items():
             kl = sum(alpha) + sum(beta)
             denom, terms = ctx.star_monomials(alpha, beta)
             drop = [((gamma, kl - sum(gamma)), n) for (gamma, _), n in terms]
             den = denom * a.denominator * b.denominator
-            parts.append((den, drop, a.numerator * b.numerator, 0))
+            parts.append((den, drop, a.numerator * b.numerator, ea + eb))
     return SymElement._raw(x.algebra, sum_parts(parts))
 
 

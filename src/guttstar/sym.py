@@ -222,10 +222,6 @@ class SymElement(SparseElement):
     def z_degree(self) -> int:
         return max((e for _, e in self._terms), default=-1)
 
-    @property
-    def is_z_constant(self) -> bool:
-        return not any(e for _, e in self._terms)
-
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 

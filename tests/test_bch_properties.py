@@ -20,8 +20,8 @@ from guttstar.bch import (
     star_bch_elements,
     star_linear,
 )
-from guttstar.liealg import bracket, make_algebra, sl2
-from guttstar.pbw import star_pbw
+from guttstar.liealg import bracket, filiform4, heisenberg, make_algebra, sl2
+from guttstar.pbw import star_graded, star_pbw
 from guttstar.sym import SymElement
 from guttstar.zpoly import PolyZ
 
@@ -60,6 +60,37 @@ def test_star_bch_matches_star_pbw(case):
     x = SymElement.from_vector(L, xi) ** k
     y = SymElement.from_vector(L, eta) ** l
     assert star_bch(L, xi, k, eta, l) == star_pbw(x, y)
+
+
+@st.composite
+def deep_power_pairs(draw):
+    """(L, xi, k, eta, l) on a nilpotent algebra with 13 <= k + l <= 20, past
+    the longest word the free series is built for; xi and eta have at most
+    two nonzero entries each, as dense vectors expand the PBW side into
+    about 10^6 pairs of monomials."""
+    L = draw(nilpotent_algebras(STRUCTURE_CONSTANTS))
+    n = draw(st.integers(13, 20))
+    k = draw(st.integers(0, n))
+    sparse = st.dictionaries(st.integers(0, L.dim - 1), rationals, max_size=2).map(
+        lambda entries: tuple(entries.get(i, 0) for i in range(L.dim))
+    )
+    return L, draw(sparse), k, draw(sparse), n - k
+
+
+@given(case=deep_power_pairs())
+@example(case=(heisenberg(), (1, 0, 0), 24, (0, 1, 0), 24))
+@example(case=(filiform4(), (1, 0, 0, 0), 16, (0, 1, 0, 0), 16))
+@settings(deadline=None)
+def test_star_bch_matches_star_pbw_past_degree_12_on_nilpotent_algebras(case):
+    L, xi, k, eta, l = case
+    x = SymElement.from_vector(L, xi) ** k
+    y = SymElement.from_vector(L, eta) ** l
+    assert star_bch(L, xi, k, eta, l) == star_pbw(x, y)
+
+
+def test_star_bch_past_degree_12_needs_a_nilpotent_algebra():
+    with pytest.raises(ValueError):
+        star_bch(sl2(), H, 7, E, 6)
 
 
 # sl2 on the basis (H/3, E, F/2): every structure constant is non-integral
@@ -167,19 +198,26 @@ def test_star_bch_elements_matches_star_pbw_on_monomials(case):
 
 
 @st.composite
-def z_constant_pairs(draw):
-    """Two z-constant elements with up to three terms of degree <= 3 each."""
+def element_pairs(draw, coefficients):
+    """Two elements with up to three terms of degree <= 3 each."""
     L = draw(mixed_algebras)
     multi_indices = st.tuples(*[st.integers(0, 2)] * L.dim).filter(lambda a: sum(a) <= 3)
-    terms = st.dictionaries(multi_indices, rationals, max_size=3)
+    terms = st.dictionaries(multi_indices, coefficients, max_size=3)
     return SymElement(L, draw(terms)), SymElement(L, draw(terms))
 
 
-@given(case=z_constant_pairs())
+@given(case=element_pairs(rationals))
 @settings(deadline=None)
 def test_star_bch_elements_matches_star_pbw_on_elements(case):
     x, y = case
     assert star_bch_elements(x, y) == star_pbw(x, y)
+
+
+@given(case=element_pairs(st.dictionaries(st.integers(0, 2), rationals, max_size=2).map(PolyZ)))
+@settings(deadline=None)
+def test_the_three_routes_agree_on_z_dependent_elements(case):
+    x, y = case
+    assert star_bch_elements(x, y) == star_graded(x, y) == star_pbw(x, y)
 
 
 def bch_tilde_by_permutations(L, xis, etas):

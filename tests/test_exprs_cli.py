@@ -146,6 +146,17 @@ def test_cli_mul_methods_agree(capsys):
         assert capsys.readouterr().out.strip() == "z*P*E + P^2*Q"
 
 
+def test_cli_mul_takes_z_dependent_factors_on_every_route(capsys):
+    x, y = "z*P + 2", "Q^2 - z^2*E"
+    lines = set()
+    for method in ("pbw", "graded", "bch"):
+        assert main(["mul", x, y, "--method", method]) == 0
+        lines.add(capsys.readouterr().out)
+    assert len(lines) == 1
+    assert main(["mul", x, y, "--check"]) == 0
+    assert capsys.readouterr().out == "methods agree: pbw = graded = bch\n" + lines.pop()
+
+
 def test_cli_weight_override(capsys):
     code = main(
         ["experiment", "hopf-estimate", "--R", "1", "--weight", "2=1/2",
@@ -320,6 +331,8 @@ HEIS_FILE = {
         (["functorial", "--algebra", "{file}"], "functorial always runs on the Heisenberg"),
         (["no-exp", "--weight", "0=5"], "no-exp always runs on the Heisenberg"),
         (["heisenberg-growth", "--kmax", "41", "--eps", "0.125", "--R", "0.5"], "needs --kmax <= 40"),
+        (["linear-estimate", "--R", "0.5", "--z", "7"], "|z| < 2*pi or R > 1"),
+        (["linear-estimate", "--R", "1", "--z", "100"], "|z| < 2*pi or R > 1"),
     ],
 )
 def test_cli_experiment_rejects_vacuous_or_ignored_inputs(argv, message, tmp_path, capsys):
