@@ -6,6 +6,10 @@ left-nested Dynkin bracketing [w] recovers the Lie form
 
     BCH_n(xi, eta) = sum_{|w| = n} (g_w / n) [w].
 
+Free series are plain maps {word: coefficient}.  One Goldberg table holds
+g_w/|w| as int numerators over one denominator per length for every word up
+to the longest length asked so far; only a longer request builds it again.
+
 On top of that sit the bidegree components BCH_{a,b}, their polarization, the
 Bernoulli-number formula for products with a linear factor, the composition
 formula for the z^n coefficients C_n of the star product, and the kernel
@@ -17,8 +21,8 @@ and it is the one BCH route for every product: by polarization,
     xi^alpha = (1/k!) sum_{0 != b <= alpha} (-1)^(k-|b|) prod_i C(alpha_i, b_i) (b . e)^k,
 
 with k = |alpha|, every monomial is a signed sum of powers of integer
-vectors, so ``star_bch_elements`` is a weighted sum of power products, each
-shifted by its pair's z-exponents, and ``bch_tilde`` polarizes ``bch_ab``
+vectors, so ``star_bch_elements`` is ``sym.bilinear`` over power products,
+and ``bch_tilde`` polarizes ``bch_ab``
 over the subset sums of each block.  The word walk stops at length
 min(k + l, N), N the nilpotency index; without one, at 12 letters.
 
@@ -40,11 +44,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .liealg import LieAlgebra, Vector, _bracket, as_vector, nilpotency_index
 from .pbw import star_pbw
-from .sym import SymElement, exp_truncated, raw_sum, sum_parts
+from .sym import SymElement, bilinear, exp_truncated, raw_sum, sum_parts
 from .zpoly import add_scaled
 
 MAX_TRUNCATION = 12
@@ -53,75 +57,32 @@ Scalar = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# free associative series on the letters X, Y
+# free associative series on the letters X, Y, as maps {word: coefficient}
 # ---------------------------------------------------------------------------
 
-
-class FreeSeries:
-    """Truncated series in the free algebra on {X, Y}, rational coefficients."""
-
-    __slots__ = ("truncation", "terms")
-
-    def __init__(self, truncation: int, terms: Optional[dict[str, Fraction]] = None):
-        self.truncation = truncation
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if len(w) > truncation:
-                    continue
-                c = Fraction(c)
-                if c:
-                    self.terms[w] = c
-
-    def coefficient(self, word: str) -> Fraction:
-        return self.terms.get(word, Fraction(0))
-
-    def slice(self, n: int) -> dict[str, Fraction]:
-        return {w: c for w, c in self.terms.items() if len(w) == n}
-
-    def bidegree_slice(self, a: int, b: int) -> dict[str, Fraction]:
-        return {
-            w: c
-            for w, c in self.terms.items()
-            if w.count("X") == a and w.count("Y") == b
-        }
-
-    def add_scaled(self, other: "FreeSeries", scale: Fraction) -> "FreeSeries":
-        out = dict(self.terms)
-        add_scaled(out, other.terms.items(), scale)  # the constructor drops zeros
-        return FreeSeries(self.truncation, out)
-
-    def mul(self, other: "FreeSeries") -> "FreeSeries":
-        out: dict[str, Fraction] = {}
-        for wa, ca in self.terms.items():
-            room = self.truncation - len(wa)
-            add_scaled(out, [(wa + w, c) for w, c in other.terms.items() if len(w) <= room], ca)
-        return FreeSeries(self.truncation, out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreeSeries):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        n = len(self.terms)
-        return f"<FreeSeries truncation={self.truncation} terms={n}>"
+# The Goldberg table ({word: numerator of g_w/|w| over G_|w|}, (G_0, ..., G_top)).
+_goldberg: tuple[dict[str, int], tuple[int, ...]] = ({}, (1,))
 
 
-@lru_cache(maxsize=None)
-def log_expansion(truncation: int) -> FreeSeries:
-    """Coefficients of log(e^X e^Y) on all words of length <= truncation.
+def _goldberg_weights(truncation: int) -> tuple[dict[str, int], tuple[int, ...]]:
+    """The Goldberg table, for every word up to the longest length asked so
+    far, top >= truncation.
 
+    A shorter request reads the table; a longer one builds it again from
     log(e^X e^Y) = sum_m (-1)^(m+1)/m E^m with E = e^X e^Y - 1, on ints: in
     the scaled form S(w) = |w|! coeff(w), E is C(a+b, a) on X^a Y^b and a
     product picks up S(uv) = C(|uv|, |u|) S(u) S(v), so every power E^m is an
-    integer series; the sum over m runs over M = lcm(1..truncation), and each
-    word's coefficient is one Fraction(sum, M |w|!).
+    integer series; the sum over m runs over M = lcm(1..top), so g_w/|w| =
+    t_w / (M |w|! |w|) for an int t_w.  Dividing the t_w of one length n and
+    M n! n by their gcd gives the numerators over the reduced G_n.
     """
+    global _goldberg
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     if truncation > MAX_TRUNCATION:
         raise ValueError(f"truncation above the supported maximum {MAX_TRUNCATION}")
+    if truncation < len(_goldberg[1]):
+        return _goldberg
     e_terms = [
         ("X" * a + "Y" * (n - a), math.comb(n, a))
         for n in range(1, truncation + 1)
@@ -139,61 +100,58 @@ def log_expansion(truncation: int) -> FreeSeries:
             add_scaled(nxt, [(u + v, math.comb(lu + len(v), lu) * cv) for v, cv in room], cu)
         power = nxt
         add_scaled(total, power.items(), M // m if m % 2 else -(M // m))
-    return FreeSeries(
-        truncation, {w: Fraction(c, M * math.factorial(len(w))) for w, c in total.items()}
-    )
+    full = [M * math.factorial(n) * n or 1 for n in range(truncation + 1)]
+    gcds = list(full)
+    for w, t in total.items():
+        gcds[len(w)] = math.gcd(gcds[len(w)], t)
+    weights = {w: t // gcds[len(w)] for w, t in total.items()}
+    _goldberg = weights, tuple(f // g for f, g in zip(full, gcds))
+    return _goldberg
 
 
-@lru_cache(maxsize=None)
-def _goldberg_weights(truncation: int) -> tuple[dict[str, int], tuple[int, ...]]:
-    """The weights g_w/|w| of log_expansion(truncation) as integer numerators
-    over one denominator G_n per word length n: ({word: numerator}, G)."""
-    by_length: list[dict[str, Fraction]] = [{} for _ in range(truncation + 1)]
-    for w, g in log_expansion(truncation).terms.items():
-        by_length[len(w)][w] = g / len(w)
-    dens = tuple(math.lcm(*(q.denominator for q in d.values())) for d in by_length)
-    numerators = {
-        w: q.numerator * (dens[n] // q.denominator)
-        for n, d in enumerate(by_length)
-        for w, q in d.items()
+def log_expansion(truncation: int) -> dict[str, Fraction]:
+    """Coefficients g_w of log(e^X e^Y) on all words of length <= truncation,
+    read from the Goldberg table, as {word: g_w} without zeros."""
+    weights, dens = _goldberg_weights(truncation)
+    return {
+        w: Fraction(len(w) * c, dens[len(w)]) for w, c in weights.items() if len(w) <= truncation
     }
-    return numerators, dens
 
 
 def goldberg_coefficient(word: str) -> Fraction:
     """g_w: the coefficient of the word in the associative log expansion."""
     if not word or set(word) - {"X", "Y"}:
         raise ValueError("word must be a nonempty string over {X, Y}")
-    return log_expansion(len(word)).coefficient(word)
+    weights, dens = _goldberg_weights(len(word))
+    return Fraction(len(word) * weights.get(word, 0), dens[len(word)])
 
 
 def thompson_sum(n: int) -> Fraction:
     """sum_{|w| = n} |g_w|; bounded by 2 for n >= 1."""
-    series = log_expansion(max(n, 1))
-    return sum((abs(c) for c in series.slice(n).values()), Fraction(0))
+    return sum((abs(c) for w, c in log_expansion(max(n, 1)).items() if len(w) == n), Fraction(0))
 
 
-def free_nested_bracket(word: str, truncation: int) -> FreeSeries:
-    """Left-nested commutator [w] expanded back into associative words."""
-    out = FreeSeries(truncation, {word[0]: 1})
+def free_nested_bracket(word: str) -> dict[str, int]:
+    """Left-nested commutator [w] expanded back into associative words:
+    [u c] = [u] c - c [u], one map per letter."""
+    out = {word[0]: 1}
     for ch in word[1:]:
-        letter = FreeSeries(truncation, {ch: 1})
-        out = out.mul(letter).add_scaled(letter.mul(out), Fraction(-1))
+        nxt = {u + ch: c for u, c in out.items()}
+        add_scaled(nxt, [(ch + u, c) for u, c in out.items()], -1)
+        out = nxt
     return out
 
 
-def dynkin_consistency_residual(n: int) -> FreeSeries:
-    """Difference of sum_{|w|=n} (g_w/n) [w] and the degree-n log slice.
-
-    Empty result certifies the left-nested orientation and the normalization
-    of the Goldberg coefficients at degree n.
-    """
-    series = log_expansion(n)
-    residual = FreeSeries(n)
-    for w, g in series.slice(n).items():
-        residual = residual.add_scaled(free_nested_bracket(w, n), g / n)
-    for w, c in series.slice(n).items():
-        residual = residual.add_scaled(FreeSeries(n, {w: c}), Fraction(-1))
+def dynkin_consistency_residual(n: int) -> dict[str, Fraction]:
+    """Difference of sum_{|w|=n} (g_w/n) [w] and the degree-n log slice,
+    summed into one map {word: coefficient} without zeros.  An empty map
+    certifies the left-nested orientation and the normalization of the
+    Goldberg coefficients at degree n."""
+    layer = [(w, g) for w, g in log_expansion(n).items() if len(w) == n]
+    residual: dict[str, Fraction] = {}
+    for w, g in layer:
+        add_scaled(residual, free_nested_bracket(w).items(), g / n)
+    add_scaled(residual, layer, -1)
     return residual
 
 
@@ -231,15 +189,19 @@ def _bch_components(
     so each word costs one bracket, and a prefix whose bracket vanishes prunes
     every word that extends it (all words past XX or YY).  No word longer
     than the nilpotency index N of a nilpotent algebra has a nonzero bracket,
-    so the walk stops at length top = min(k + l, N) and reads the weights of
-    ``log_expansion(top)``, which refuses top > 12.  The walk brackets the
+    so the walk stops at length top = min(k + l, N), refused past 12, and
+    reads its weights from the Goldberg table.  The walk brackets the
     integral vectors D_xi xi and D_eta eta and weights each word by the
     integer numerator of g_w/n over G_n, so d = G_{a+b} D_xi^a D_eta^b.
     Inputs are trusted.
     """
     if k + l == 0:
         return {}
-    top = min(k + l, nilpotency_index(L) or k + l)
+    index = nilpotency_index(L)
+    top = min(k + l, index or k + l)
+    if top > MAX_TRUNCATION:
+        why = f"has nilpotency index {index}" if index else "is not nilpotent"
+        raise ValueError(f"k + l = {k + l} exceeds {MAX_TRUNCATION} and the algebra {why}")
     weights, dens = _goldberg_weights(top)
     d_xi, xi = _integral(xi)
     d_eta, eta = _integral(eta)
@@ -526,29 +488,20 @@ def _times_vector(
 def star_bch_elements(x: SymElement, y: SymElement) -> SymElement:
     """BCH-route product extended Q[z]-bilinearly to arbitrary elements.
 
-    Each homogeneous part of x and y with one power of z polarizes onto
-    powers of integer vectors (``_polarize``), so x * y is a weighted sum of
-    power products z^(ea+eb) (b . e)^k * (c . e)^l, each one ``star_bch`` by
-    the composition formula.  The power products are memoized, bounded, per
-    (L, b, k, c, l), so monomial pairs that share a direction share its
-    product; each weighted power product is one part of ``sum_parts``.
+    Each term of x and y polarizes onto powers of integer vectors
+    (``_polarize``), so x * y is ``sym.bilinear`` over the power products
+    (b . e)^k * (c . e)^l, each one ``star_bch`` by the composition formula.
+    The power products are memoized, bounded, per (L, b, k, c, l), so
+    monomial pairs that share a direction share its product.
     """
     x._require_same(y)
     L = x.algebra
-    y_powers = _polarize(y)
-    parts = []
-    for (k, ea), x_dirs in _polarize(x).items():
-        for (l, eb), y_dirs in y_powers.items():
-            for b, wb in x_dirs.items():
-                for c, wc in y_dirs.items():
-                    w = wb * wc
-                    den, terms = _power_parts(L, b, k, c, l)
-                    parts.append((den * w.denominator, terms, w.numerator, ea + eb))
-    return SymElement._raw(L, sum_parts(parts))
+    terms = bilinear(_polarize(x), _polarize(y), lambda bk, cl: _power_parts(L, *bk, *cl))
+    return SymElement._raw(L, terms)
 
 
-def _polarize(x: SymElement) -> dict[tuple[int, int], dict[tuple[int, ...], Fraction]]:
-    """x as sum_{k,j} z^j sum_b w_{k,j,b} (b . e)^k, {(k, j): {b: w_{k,j,b}}},
+def _polarize(x: SymElement) -> dict:
+    """x as sum_{b,k,j} w_{b,k,j} z^j (b . e)^k, the flat map {((b, k), j): w},
     over primitive nonnegative integer vectors b (b = 0 only for k = 0).
 
     A monomial of degree k polarizes as
@@ -557,7 +510,7 @@ def _polarize(x: SymElement) -> dict[tuple[int, int], dict[tuple[int, ...], Frac
 
     and b = g b' with b' primitive contributes g^k (b' . e)^k.
     """
-    out: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+    out: dict = {}
     for (alpha, e), coeff in x._terms.items():
         k = sum(alpha)
         terms = []
@@ -566,8 +519,8 @@ def _polarize(x: SymElement) -> dict[tuple[int, int], dict[tuple[int, ...], Frac
             if k and not g:
                 continue  # (0 . e)^k = 0
             w = (-1) ** (k - sum(b)) * g**k * math.prod(map(math.comb, alpha, b))
-            terms.append((tuple(v // (g or 1) for v in b), w))
-        add_scaled(out.setdefault((k, e), {}), terms, coeff / math.factorial(k))
+            terms.append((((tuple(v // (g or 1) for v in b), k), 0), w))
+        add_scaled(out, terms, coeff / math.factorial(k), e)
     return out
 
 

@@ -25,6 +25,7 @@ from .sym import (
     Seminorm,
     SparseElement,
     SymElement,
+    bilinear,
     graded_term,
     index_tuple,
     random_element,
@@ -89,26 +90,19 @@ def counit(x: SymElement) -> PolyZ:
 
 
 def tensor_star(a: SymTensorElement, b: SymTensorElement) -> SymTensorElement:
-    """Componentwise star product on Sym (x) Sym.
-
-    The tensor of the raw monomial products (D1, T1) and (D2, T2) is the raw
-    product over D1 D2 with the terms (((g1, g2), e1 + e2), n1 n2); each
-    pair of coefficient terms scales it into one part of ``sum_parts``."""
+    """Componentwise star product on Sym (x) Sym: ``sym.bilinear`` over the
+    tensor of the raw monomial products (D1, T1) and (D2, T2), the raw
+    product over D1 D2 with the terms (((g1, g2), e1 + e2), n1 n2)."""
     a._require_same(b)
     ctx = _context(a.algebra)
-    parts = []
-    for ((a1, a2), ea), va in a._terms.items():
-        for ((b1, b2), eb), vb in b._terms.items():
-            d1, left = ctx.star_monomials(a1, b1)
-            d2, right = ctx.star_monomials(a2, b2)
-            terms = [
-                (((g1, g2), e1 + e2), n1 * n2)
-                for (g1, e1), n1 in left
-                for (g2, e2), n2 in right
-            ]
-            den = d1 * d2 * va.denominator * vb.denominator
-            parts.append((den, terms, va.numerator * vb.numerator, ea + eb))
-    return SymTensorElement._raw(a.algebra, sum_parts(parts))
+
+    def tensor(ka: tuple, kb: tuple) -> tuple:
+        d1, left = ctx.star_monomials(ka[0], kb[0])
+        d2, right = ctx.star_monomials(ka[1], kb[1])
+        terms = [(((g1, g2), e1 + e2), n1 * n2) for (g1, e1), n1 in left for (g2, e2), n2 in right]
+        return d1 * d2, terms
+
+    return SymTensorElement._raw(a.algebra, bilinear(a._terms, b._terms, tensor))
 
 
 def tensor_counit_left(t: SymTensorElement) -> SymElement:

@@ -30,14 +30,15 @@ by their common gcd.
 ``star_pbw`` is the pull-back product q_z^{-1}(q_z(x) . q_z(y)), computed per
 monomial pair as Q(alpha) Q(beta) / (|alpha|! |beta|!), and the reference
 oracle for every other product construction in this package.  The star memo
-keeps each monomial product in that raw form, immutable.  Every public
-product here is one call of ``sym.sum_parts``, the part-sum that the BCH
-route and the Hopf maps share: each pair of terms scales its raw monomial
-product into one part, and the parts are summed on the numerators over one
-common denominator, so each output coefficient is built once, as one
-``Fraction``.  The star memo, the one table keyed by pairs, holds at most
-``STAR_MEMO_CAP`` products and is cleared when full; callers keep the
-immutable raw products they were handed, so a clear is safe at any point.
+keeps each monomial product in that raw form, immutable.  Both star
+products here are one call of ``sym.bilinear``, shared with the BCH route
+and the tensor star: each pair of terms scales its raw monomial product
+into one part of ``sym.sum_parts``, and the parts are summed on the
+numerators over one common denominator, so each output coefficient is
+built once, as one ``Fraction``.  The star memo, the one table keyed by
+pairs, holds at most ``STAR_MEMO_CAP`` products and is cleared when full;
+callers keep the immutable raw products they were handed, so a clear is
+safe at any point.
 
 Give every letter and z degree 1: the rewriting rule is then homogeneous,
 so a term of length m in Q(alpha), in a product of Q's or in an inverse
@@ -66,7 +67,9 @@ from math import factorial, gcd
 
 from .kernel import PbwKernel
 from .liealg import LieAlgebra, LieHom, _bracket_table, check_hom
-from .sym import MultiIndex, SparseElement, SymElement, index_tuple, raw_sum, sum_parts, sym_mul
+from .sym import (
+    MultiIndex, SparseElement, SymElement, bilinear, index_tuple, raw_sum, sum_parts, sym_mul
+)
 from .zpoly import CoeffLike, add_scaled
 
 Word = tuple[int, ...]
@@ -250,20 +253,13 @@ def star_pbw(x: SymElement, y: SymElement) -> SymElement:
     """The star product q_z^{-1}(q_z(x) . q_z(y)); the oracle product.  The
     power of z of each term is the kernel's bracket count e.
 
-    Each pair of terms reads its monomial product from the star memo as a
-    raw product (D, terms), scaled by the pair's coefficients into one part,
-    and ``sum_parts`` sums the parts; a product of two monomials with
-    z-constant coefficients is one part, read off directly.
+    ``sym.bilinear`` over the monomial products of the star memo, each a raw
+    product (D, terms); a product of two monomials with z-constant
+    coefficients is one part, read off directly.
     """
     x._require_same(y)
     ctx = _context(x.algebra)
-    parts = []
-    for (alpha, ea), a in x._terms.items():
-        for (beta, eb), b in y._terms.items():
-            denom, terms = ctx.star_monomials(alpha, beta)
-            den = denom * a.denominator * b.denominator
-            parts.append((den, terms, a.numerator * b.numerator, ea + eb))
-    return SymElement._raw(x.algebra, sum_parts(parts))
+    return SymElement._raw(x.algebra, bilinear(x._terms, y._terms, ctx.star_monomials))
 
 
 def star_graded(x: SymElement, y: SymElement) -> SymElement:
@@ -271,19 +267,17 @@ def star_graded(x: SymElement, y: SymElement) -> SymElement:
     count dropped, and the degree-(k+l-n) part of each homogeneous block
     reweighted by z^n.
 
-    Q[z]-bilinear: a pair z^ea, z^eb shifts by z^(ea+eb).  Equals star_pbw.
+    Q[z]-bilinear through ``sym.bilinear``.  Equals star_pbw.
     """
     x._require_same(y)
     ctx = _context(x.algebra)
-    parts = []
-    for (alpha, ea), a in x._terms.items():
-        for (beta, eb), b in y._terms.items():
-            kl = sum(alpha) + sum(beta)
-            denom, terms = ctx.star_monomials(alpha, beta)
-            drop = [((gamma, kl - sum(gamma)), n) for (gamma, _), n in terms]
-            den = denom * a.denominator * b.denominator
-            parts.append((den, drop, a.numerator * b.numerator, ea + eb))
-    return SymElement._raw(x.algebra, sum_parts(parts))
+
+    def graded(alpha: MultiIndex, beta: MultiIndex) -> tuple:
+        kl = sum(alpha) + sum(beta)
+        denom, terms = ctx.star_monomials(alpha, beta)
+        return denom, [((gamma, kl - sum(gamma)), n) for (gamma, _), n in terms]
+
+    return SymElement._raw(x.algebra, bilinear(x._terms, y._terms, graded))
 
 
 def lift_hom(phi: LieHom, x: SymElement) -> SymElement:

@@ -21,7 +21,8 @@ The module also holds the package's one part-sum, ``sum_parts``: every
 product (PBW, graded, BCH and the Hopf maps) is a list of parts, each a raw
 product (D, terms) of integer numerators over one denominator scaled by an
 integer ratio and a power of z, and ``sum_parts`` turns them into the flat
-``Fraction`` map an element stores.
+``Fraction`` map an element stores.  ``bilinear`` builds the parts of the
+four pairwise products (PBW, graded, BCH, tensor star), one per pair of terms.
 """
 
 from __future__ import annotations
@@ -299,6 +300,20 @@ def sum_parts(parts: list) -> dict:
         return {(key, e + shift): Fraction(n * num, den) for (key, e), n in terms}
     common, acc = raw_sum(parts)
     return {key: Fraction(v, common) for key, v in acc.items()}
+
+
+def bilinear(x_terms: Mapping, y_terms: Mapping, raw) -> dict:
+    """The Q[z]-bilinear extension of a product of keys to flat maps
+    {(key, e): coeff} of ``Fraction``s: each pair of terms a z^ea, b z^eb
+    scales the raw product ``raw(ka, kb) = (D, terms)`` of its keys by
+    a b z^(ea+eb) into one part of ``sum_parts``."""
+    parts = []
+    for (ka, ea), a in x_terms.items():
+        for (kb, eb), b in y_terms.items():
+            den, terms = raw(ka, kb)
+            den *= a.denominator * b.denominator
+            parts.append((den, terms, a.numerator * b.numerator, ea + eb))
+    return sum_parts(parts)
 
 
 def exp_truncated(x: SymElement, order: int) -> SymElement:

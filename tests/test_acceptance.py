@@ -122,7 +122,7 @@ def test_criterion_03_bernoulli_formula():
 def test_criterion_04_goldberg_thompson():
     """Dynkin re-expansion reproduces the log series (n <= 8, exact);
     Thompson sums <= 2 for n <= 10."""
-    ok = all(not dynkin_consistency_residual(n).terms for n in range(1, 9))
+    ok = all(not dynkin_consistency_residual(n) for n in range(1, 9))
     ok = ok and all(thompson_sum(n) <= 2 for n in range(1, 11))
     _report("criterion 4: Goldberg/Thompson word expansion", ok)
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from guttstar import bch
 from guttstar.bch import (
     MAX_TRUNCATION,
-    FreeSeries,
     bch_ab,
     bch_element,
     bch_tilde,
@@ -38,40 +38,68 @@ from random_inputs import random_monomial, random_nonzero_vector
 
 def test_log_expansion_low_degrees():
     series = log_expansion(4)
-    assert series.coefficient("X") == 1
-    assert series.coefficient("Y") == 1
-    assert series.coefficient("XY") == Fraction(1, 2)
-    assert series.coefficient("YX") == Fraction(-1, 2)
-    assert series.coefficient("XX") == 0
-    assert series.coefficient("YYY") == 0
+    assert series.get("X", 0) == 1
+    assert series.get("Y", 0) == 1
+    assert series.get("XY", 0) == Fraction(1, 2)
+    assert series.get("YX", 0) == Fraction(-1, 2)
+    assert series.get("XX", 0) == 0
+    assert series.get("YYY", 0) == 0
     # classical degree-3 values
-    assert series.coefficient("XXY") == Fraction(1, 12)
-    assert series.coefficient("XYX") == Fraction(-1, 6)
+    assert series.get("XXY", 0) == Fraction(1, 12)
+    assert series.get("XYX", 0) == Fraction(-1, 6)
 
 
 def _log_expansion_by_powers(truncation):
     """log(1 + E) = sum_m (-1)^(m+1) E^m / m with E = e^X e^Y - 1, summed
-    power by power on FreeSeries."""
+    power by power on {word: Fraction} maps cut at the truncation."""
     e_terms = {
         "X" * a + "Y" * b: Fraction(1, math.factorial(a) * math.factorial(b))
         for a in range(truncation + 1)
         for b in range(truncation + 1 - a)
         if a + b >= 1
     }
-    E = FreeSeries(truncation, e_terms)
-    log = FreeSeries(truncation)
-    power = FreeSeries(truncation, {"": 1})
+    log = {}
+    power = {"": Fraction(1)}
     for m in range(1, truncation + 1):
-        power = power.mul(E)
-        log = log.add_scaled(power, Fraction((-1) ** (m + 1), m))
-    return log
+        nxt = {}
+        for u, cu in power.items():
+            for v, cv in e_terms.items():
+                if len(u) + len(v) <= truncation:
+                    nxt[u + v] = nxt.get(u + v, 0) + cu * cv
+        power = nxt
+        for w, c in power.items():
+            log[w] = log.get(w, 0) + Fraction((-1) ** (m + 1), m) * c
+    return {w: c for w, c in log.items() if c}
 
 
 def test_log_expansion_matches_power_series():
     for n in range(1, 11):
         series = log_expansion(n)
         assert series == _log_expansion_by_powers(n), n
-        assert all(type(c) is Fraction for c in series.terms.values())
+        assert all(type(c) is Fraction for c in series.values())
+
+
+def test_goldberg_table_is_right_in_any_request_order(monkeypatch):
+    """The table is built again only for a length longer than it holds, and
+    every read is right whichever length came first."""
+    monkeypatch.setattr(bch, "_goldberg", ({}, (1,)))
+    L = sl2()
+    H, E = basis_vector(L, 0), basis_vector(L, 1)
+    requests = [
+        (7, lambda: star_bch(L, H, 4, E, 3)),
+        (3, lambda: goldberg_coefficient("XYX")),
+        (10, lambda: star_bch(L, H, 5, E, 5)),
+        (5, lambda: goldberg_coefficient("XXYXY")),
+    ]
+    top = 0
+    for n, request in requests:
+        request()
+        top = max(top, n)
+        assert len(bch._goldberg[1]) == top + 1, n
+    full = log_expansion(10)
+    for n, _ in requests:
+        assert log_expansion(n) == _log_expansion_by_powers(n), n
+        assert log_expansion(n) == {w: c for w, c in full.items() if len(w) <= n}, n
 
 
 def test_goldberg_coefficient_api():
@@ -93,7 +121,7 @@ def test_thompson_sums_bounded():
 
 def test_dynkin_consistency():
     for n in range(1, 9):
-        assert not dynkin_consistency_residual(n).terms
+        assert not dynkin_consistency_residual(n)
 
 
 # ---------------------------------------------------------------------------

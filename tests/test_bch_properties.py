@@ -89,7 +89,7 @@ def test_star_bch_matches_star_pbw_past_degree_12_on_nilpotent_algebras(case):
 
 
 def test_star_bch_past_degree_12_needs_a_nilpotent_algebra():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"k \+ l = 13\b.*not nilpotent"):
         star_bch(sl2(), H, 7, E, 6)
 
 
@@ -161,7 +161,9 @@ def test_bch_ab_matches_definitional_sum(case):
     L, a, b, xi, eta = case
     n = a + b
     expected = [Fraction(0)] * L.dim
-    for word, g in log_expansion(n).bidegree_slice(a, b).items():
+    for word, g in log_expansion(n).items():
+        if len(word) != n or word.count("X") != a:
+            continue
         for i, c in enumerate(dynkin_bracket(L, word, xi, eta)):
             expected[i] += g / n * c
     assert bch_ab(L, a, b, xi, eta) == tuple(expected)
@@ -227,7 +229,9 @@ def bch_tilde_by_permutations(L, xis, etas):
     n = a + b
     scale = Fraction(1, math.factorial(a) * math.factorial(b) * n)
     total = [Fraction(0)] * L.dim
-    for word, g in log_expansion(n).bidegree_slice(a, b).items():
+    for word, g in log_expansion(n).items():
+        if len(word) != n or word.count("X") != a:
+            continue
         for px in itertools.permutations(xis):
             for py in itertools.permutations(etas):
                 fill = {"X": iter(px), "Y": iter(py)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -12,6 +13,8 @@ from guttstar.sym import SymElement
 from guttstar.zpoly import PolyZ
 
 from random_inputs import random_element
+
+BCH_DUMP_DIGEST = "589ddd9f9ec3bf8367dc45f1f1ee5d2ba58902fe4c202fa46d6c8d7e34be66b3"
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +517,14 @@ def test_cli_bch_dump(capsys):
     assert {"w": "YX", "g": "-1/2"} in records[1]["words"]
     assert records[1]["thompson_sum"] == "1"
     assert main(["bch", "--max-n", "13"]) == 2
+
+
+def test_cli_bch_dump_to_length_12_is_pinned(capsys):
+    """Every word, coefficient, Thompson sum and bidegree block to length 12,
+    pinned by the digest of the whole dump."""
+    assert main(["bch", "--max-n", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BCH_DUMP_DIGEST
 
 
 def test_cli_deterministic_output(capsys):
